@@ -30,6 +30,7 @@ using la::Matrix;
 struct Case {
   std::string name;
   la::index_t n = 0;
+  std::string shape;  ///< full shape where `n` alone does not name it
   double seconds_per_iter = 0.0;
   std::int64_t iterations = 0;
   double gflops = 0.0;  ///< 0 when no flop count applies
@@ -38,7 +39,8 @@ struct Case {
 /// Run `body` repeatedly until `min_time` seconds have accumulated (at least
 /// 3 iterations), returning the average seconds per iteration.
 Case timed(const std::string& name, la::index_t n, double flops_per_iter,
-           double min_time, const std::function<void()>& body) {
+           double min_time, const std::function<void()>& body,
+           const std::string& shape = "") {
   body();  // warm-up (first touch, page faults)
   WallTimer timer;
   std::int64_t iters = 0;
@@ -49,6 +51,7 @@ Case timed(const std::string& name, la::index_t n, double flops_per_iter,
   Case c;
   c.name = name;
   c.n = n;
+  c.shape = shape;
   c.iterations = iters;
   c.seconds_per_iter = timer.seconds() / static_cast<double>(iters);
   if (flops_per_iter > 0.0) c.gflops = flops_per_iter / c.seconds_per_iter / 1e9;
@@ -154,11 +157,46 @@ int main(int argc, char** argv) {
     }));
   }
 
-  for (la::index_t n : {128, 256}) {
+  // The QR family at the shapes the solver calls (plus the original wide
+  // pivoted cases), rated by LAPACK's classical Householder counts: a
+  // rank-k truncated pivoted QR of m x n costs 4mnk - 2(m+n)k² + 4k³/3 and
+  // forming its m x k Q another 2mk² - 2k³/3.
+  struct PivotedShape {
+    la::index_t m, n, cap;
+  };
+  for (const PivotedShape& s : {PivotedShape{128, 512, 32}, PivotedShape{256, 1024, 64},
+                                PivotedShape{512, 256, 80}, PivotedShape{3840, 640, 640}}) {
+    const la::index_t m = s.m, n = s.n, cap = s.cap;
     Rng rng(4);
-    Matrix a = Matrix::random_normal(rng, n, 4 * n);
-    cases.push_back(timed("pivoted_qr", n, 0.0, min_time,
-                          [&] { auto f = la::pivoted_qr(a.view(), n / 4, 0.0); }));
+    Matrix a = Matrix::random_normal(rng, m, n);
+    const double k = static_cast<double>(cap);
+    const double flops = 4.0 * m * n * k - 2.0 * (m + n) * k * k + 4.0 * k * k * k / 3.0 +
+                         2.0 * m * k * k - 2.0 * k * k * k / 3.0;
+    cases.push_back(timed("pivoted_qr", m, flops, min_time,
+                          [&] { auto f = la::pivoted_qr(a.view(), cap, 0.0); },
+                          std::to_string(m) + "x" + std::to_string(n) + " r" +
+                              std::to_string(cap)));
+  }
+  {
+    // Economy QR (geqrf + orgqr): 4mn² - 4n³/3.
+    const la::index_t m = 256, n = 80;
+    Rng rng(11);
+    Matrix a = Matrix::random_normal(rng, m, n);
+    cases.push_back(timed("qr", m, 4.0 * m * n * n - 4.0 * n * n * n / 3.0, min_time,
+                          [&] { auto f = la::qr(a.view()); },
+                          std::to_string(m) + "x" + std::to_string(n)));
+  }
+  // Complement of an orthonormal m x k basis, as every ULV node forms it:
+  // geqrf 2k²(m - k/3) plus k reflectors applied to m - k columns,
+  // (4mk - 2k²)(m - k).
+  for (la::index_t m : {256, 160}) {
+    const la::index_t k = 80;
+    Rng rng(12);
+    Matrix u = la::qr(Matrix::random_normal(rng, m, k).view()).q;
+    const double flops = 2.0 * k * k * (m - k / 3.0) + (4.0 * m * k - 2.0 * k * k) * (m - k);
+    cases.push_back(timed("orth_complement", m, flops, min_time,
+                          [&] { Matrix c = la::orth_complement(u.view()); },
+                          std::to_string(m) + "x" + std::to_string(k)));
   }
 
   for (la::index_t n : {32, 64, 128}) {
@@ -177,17 +215,16 @@ int main(int argc, char** argv) {
     }));
   }
 
-  TextTable table({"kernel", "n", "us/iter", "iters", "GFLOP/s"});
+  TextTable table({"kernel", "n", "shape", "us/iter", "iters", "GFLOP/s"});
   BenchJson json("micro_linalg");
   for (const auto& c : cases) {
-    table.add_row({c.name, std::to_string(c.n),
+    table.add_row({c.name, std::to_string(c.n), c.shape.empty() ? "-" : c.shape,
                    fmt_fixed(c.seconds_per_iter * 1e6, 1),
                    std::to_string(c.iterations),
                    c.gflops > 0.0 ? fmt_fixed(c.gflops, 2) : "-"});
-    json.row()
-        .add("kernel", c.name)
-        .add("n", static_cast<std::int64_t>(c.n))
-        .add("seconds_per_iter", c.seconds_per_iter)
+    auto& row = json.row().add("kernel", c.name).add("n", static_cast<std::int64_t>(c.n));
+    if (!c.shape.empty()) row.add("shape", c.shape);
+    row.add("seconds_per_iter", c.seconds_per_iter)
         .add("iterations", c.iterations)
         .add("gflops", c.gflops);
   }

@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Mirrors the tier-1 verification line locally.
-#   scripts/check.sh        -> configure, build, run ALL test suites, then
-#                              run the concurrency suite under ThreadSanitizer
+#   scripts/check.sh        -> configure, build, run ALL test suites, the
+#                              executor sweep, the perf gate and the
+#                              bench_e2e smoke test, then the concurrency
+#                              suite under ThreadSanitizer
 #   scripts/check.sh fast   -> same, but only suites labeled `fast` (< 60 s)
 #                              and no TSan pass
 set -eu
@@ -45,6 +47,14 @@ if [ "$FULL" = "1" ]; then
   # Kernel-layer perf regression gate: fresh micro-bench rates vs the
   # committed BENCH_linalg.json baseline (hard floor on gemm n=256).
   ./scripts/perf_gate.sh build
+
+  # The end-to-end benchmark is its own CMake package (e2ebench/), which no
+  # other target builds. Build it here, in the directory e2ebench/run.py
+  # uses, and run its smoke test, so an API change under src/ that breaks
+  # bench_e2e fails this line instead of a later benchmark run.
+  cmake -S e2ebench -B .bench_build -DCMAKE_BUILD_TYPE=Release
+  cmake --build .bench_build -j "$(nproc 2>/dev/null || echo 4)" --target bench_e2e
+  ctest --test-dir .bench_build --output-on-failure -L slow
 
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \

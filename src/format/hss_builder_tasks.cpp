@@ -30,7 +30,7 @@ RowId row_id(la::ConstMatrixView f, index_t max_rank, double tol) {
   RowId out;
   Matrix ft = la::transpose(f);
   const double abs_tol = tol > 0.0 ? tol * la::norm_fro(ft.view()) : 0.0;
-  auto pq = la::pivoted_qr(ft.view(), max_rank, abs_tol);
+  auto pq = la::pivoted_qr(ft.view(), max_rank, abs_tol, /*want_q=*/false);
   const index_t k = pq.rank;
   out.rank = k;
   out.x = Matrix(f.rows, k);

@@ -30,8 +30,8 @@
 /// benches can measure algorithmic complexity (Table 1 of the paper). The
 /// count is recorded only when work is actually performed (no-op calls with
 /// alpha == 0 or an empty inner dimension add nothing), and composite
-/// kernels (potrf) count once at the top rather than re-counting their
-/// internal panel updates.
+/// kernels (potrf, the QR family) count once at the top rather than
+/// re-counting their internal panel updates.
 
 #include "linalg/matrix.hpp"
 

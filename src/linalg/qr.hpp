@@ -26,13 +26,17 @@ QrResult qr(ConstMatrixView a);
 /// The factorization stops when `rank == max_rank` or when the largest
 /// remaining column norm drops below `tol` (absolute) — whichever comes
 /// first. `perm[j]` gives the original column index of permuted column j.
+/// With `want_q == false` Q is not formed (left empty); callers that only
+/// need R and the pivots, such as an interpolative decomposition, skip its
+/// cost.
 struct PivotedQrResult {
   Matrix q;                   ///< m x rank, orthonormal columns
   Matrix r;                   ///< rank x n, upper trapezoidal in permuted order
   std::vector<index_t> perm;  ///< column permutation applied to A
   index_t rank = 0;
 };
-PivotedQrResult pivoted_qr(ConstMatrixView a, index_t max_rank, double tol = 0.0);
+PivotedQrResult pivoted_qr(ConstMatrixView a, index_t max_rank, double tol = 0.0,
+                           bool want_q = true);
 
 /// Orthonormal basis of the orthogonal complement of col(U) in R^m, where U
 /// (m x k) has orthonormal columns: returns Q_c (m x (m-k)) with
