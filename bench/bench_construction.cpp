@@ -23,8 +23,8 @@
 // their statically-proven last use, shrinking the measured peak.
 //
 // Workers sweep 1, 2, 4, ... up to --max-workers; speedup is relative to
-// the 1-worker run of the same DAG (not the sequential builder, which is
-// the same code run in insertion order).
+// the 1-worker run of the same DAG, which is what the sequential builder
+// runs.
 #include <cstdio>
 #include <string>
 

@@ -61,9 +61,7 @@ if [ "$FULL" = "1" ]; then
     -DHATRIX_SANITIZE=thread \
     -DHATRIX_BUILD_BENCH=OFF -DHATRIX_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j "$(nproc 2>/dev/null || echo 4)" \
-    --target test_concurrent_solve test_runtime test_dag_verify \
-    test_dag_dataflow test_executor_conformance test_scheduler_stress \
-    test_linalg_conformance
+    --target concurrency_tests
   ctest --test-dir build-tsan --output-on-failure -L concurrency \
     -j "$(nproc 2>/dev/null || echo 4)"
 fi

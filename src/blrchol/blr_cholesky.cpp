@@ -1,65 +1,19 @@
 #include "blrchol/blr_cholesky.hpp"
 
+#include "blrchol/blr_cholesky_tasks.hpp"
 #include "common/error.hpp"
 #include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
-#include "lowrank/compress.hpp"
+#include "runtime/thread_pool_executor.hpp"
 
 namespace hatrix::blrchol {
 
-namespace {
-
-using lr::LowRank;
-
-/// term = A_ik · A_jkᵀ as a low-rank block: U_ik (V_ikᵀ V_jk) U_jkᵀ.
-LowRank lr_product(const LowRank& aik, const LowRank& ajk) {
-  Matrix w = la::matmul(aik.v.view(), ajk.v.view(), la::Trans::Yes, la::Trans::No);
-  return LowRank(la::matmul(aik.u.view(), w.view()),
-                 Matrix::from_view(ajk.u.view()));
-}
-
-}  // namespace
-
 BLRCholesky BLRCholesky::factorize(const BLRMatrix& a, const BLRCholOptions& opts) {
-  BLRCholesky out;
-  out.l_ = a;  // copy; factorization is in place on the copy
-  BLRMatrix& l = out.l_;
-  const index_t p = l.num_tiles();
-
-  for (index_t k = 0; k < p; ++k) {
-    // POTRF on the diagonal tile.
-    la::potrf(l.diag(k).view());
-
-    // TRSM panel: A_ik <- A_ik L_kkᵀ^{-1}; for U Vᵀ this hits the V side.
-    for (index_t i = k + 1; i < p; ++i) {
-      auto& t = l.tile(i, k);
-      if (t.rank() == 0) continue;
-      // (U Vᵀ) L^{-T} = U (L^{-1} V)ᵀ
-      la::trsm(la::Side::Left, la::UpLo::Lower, la::Trans::No, la::Diag::NonUnit,
-               1.0, l.diag(k).view(), t.v.view());
-    }
-
-    // Trailing updates.
-    for (index_t i = k + 1; i < p; ++i) {
-      const auto& aik = l.tile(i, k);
-      if (aik.rank() > 0) {
-        // SYRK: D_i -= U (VᵀV) Uᵀ, evaluated densely on the diagonal tile.
-        Matrix w = la::matmul(aik.v.view(), aik.v.view(), la::Trans::Yes,
-                              la::Trans::No);
-        Matrix uw = la::matmul(aik.u.view(), w.view());
-        la::gemm(-1.0, uw.view(), la::Trans::No, aik.u.view(), la::Trans::Yes, 1.0,
-                 l.diag(i).view());
-      }
-      for (index_t j = k + 1; j < i; ++j) {
-        const auto& ajk = l.tile(j, k);
-        if (aik.rank() == 0 || ajk.rank() == 0) continue;
-        LowRank term = lr_product(aik, ajk);
-        l.tile(i, j) = lr::lr_add_round(1.0, l.tile(i, j), -1.0, term,
-                                        opts.max_rank, opts.tol);
-      }
-    }
-  }
-  return out;
+  // The sequential factorization is the tile DAG on one worker: the same
+  // task bodies as every parallel run, on the DAG's copy of `a`.
+  rt::TaskGraph graph;
+  const BLRCholDag dag = emit_blr_cholesky_dag(a, graph, /*with_work=*/true, opts);
+  rt::ThreadPoolExecutor(1).run(graph);
+  return adopt(std::move(*dag.state));
 }
 
 std::vector<double> BLRCholesky::solve(const std::vector<double>& b) const {

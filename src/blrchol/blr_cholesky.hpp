@@ -29,8 +29,8 @@ struct BLRCholOptions {
 /// triangular, off-diagonal tiles low-rank).
 class BLRCholesky {
  public:
-  /// Factorize in a copy of `a`; throws if a diagonal tile loses positive
-  /// definiteness.
+  /// Factorize in a copy of `a`: the emit_blr_cholesky_dag task graph run
+  /// on one worker. Throws if a diagonal tile loses positive definiteness.
   static BLRCholesky factorize(const BLRMatrix& a, const BLRCholOptions& opts = {});
 
   /// Wrap an already-factorized BLR matrix (the task-based path: run the

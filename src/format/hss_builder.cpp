@@ -8,6 +8,7 @@
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
 #include "runtime/task_graph.hpp"
+#include "runtime/thread_pool_executor.hpp"
 
 namespace hatrix::fmt {
 
@@ -115,14 +116,12 @@ int hss_levels(index_t n, index_t leaf_size) {
 }
 
 HSSMatrix build_hss(const BlockAccessor& acc, const HSSOptions& opts) {
-  // The sequential build runs the construction task graph in insertion
-  // order (DTD insertion order is a valid topological order by
-  // construction), so it is the exact same per-node code — and produces the
-  // exact same matrix — as the parallel executors.
+  // The sequential build is the construction task graph on one worker, so
+  // it is the exact same per-node code — and produces the exact same
+  // matrix — as the parallel executors.
   rt::TaskGraph graph;
   HSSBuildDag dag = emit_hss_build_dag(acc, opts, graph);
-  for (const auto& t : graph.tasks())
-    if (t.work) t.work();
+  rt::ThreadPoolExecutor(1).run(graph);
   HSSMatrix h = extract_built_hss(dag);
   // Construction is pure FP64 regardless of precision mode (executor
   // bit-identity); the one-shot demotion happens on the settled matrix.

@@ -69,7 +69,7 @@ int hss_levels(index_t n, index_t leaf_size);
 void assign_hss_intervals(HSSMatrix& h);
 
 /// Build a symmetric HSS approximation of the matrix behind `acc`
-/// sequentially. Numerically identical to build_hss_parallel (per-node
+/// sequentially: the construction DAG run on one worker. Numerically identical to build_hss_parallel (per-node
 /// deterministic sampling streams); throws BasisUnderResolvedError under
 /// the conditions documented there.
 HSSMatrix build_hss(const BlockAccessor& acc, const HSSOptions& opts);

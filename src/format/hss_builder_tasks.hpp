@@ -73,8 +73,8 @@ struct HSSBuildReport {
 };
 
 /// Emit the HSS construction DAG into `graph`. Tasks carry real work
-/// closures; run them through an executor (or in insertion order for a
-/// sequential build), then call extract_built_hss. Closures may throw
+/// closures; run them through an executor (build_hss uses one worker), then
+/// call extract_built_hss. Closures may throw
 /// BasisUnderResolvedError (see hss_builder.hpp); executors rethrow it.
 ///
 /// The emitter annotates handle bytes and marks couplings as graph outputs,

@@ -5,7 +5,7 @@
 /// Typical flow:
 ///   1. geometry  -> geom::grid2d / circle2d / random2d + geom::ClusterTree
 ///   2. operator  -> kernels::make_kernel + kernels::KernelMatrix
-///   3. compress  -> fmt::build_hss (or build_blr2 / build_blr / build_hodlr)
+///   3. compress  -> fmt::build_hss (or build_blr2 / build_blr)
 ///   4. factorize -> ulv::HSSULV::factorize (O(N))
 ///   5. solve     -> factor.solve(b) / solve_refined(b)
 ///
@@ -27,8 +27,6 @@
 #include "format/accessor.hpp"
 #include "format/blr.hpp"
 #include "format/blr2.hpp"
-#include "format/blr2_strong.hpp"
-#include "format/hodlr.hpp"
 #include "format/hss.hpp"
 #include "format/hss_builder.hpp"
 #include "geometry/cluster_tree.hpp"

@@ -166,6 +166,14 @@ void gemm_entry(T alpha, ConstMatrixViewT<T> a, Trans ta, ConstMatrixViewT<T> b,
   const index_t m = c.rows, n = c.cols, k = detail::op_cols(a, ta);
   if (alpha != T(0) && m != 0 && n != 0 && k != 0)
     flops::add(static_cast<std::uint64_t>(2) * m * n * k);
+  if (n == 1 && tb == Trans::No) {
+    // One-column calls (single-RHS solves) get views with a literal column
+    // count, so the compiler specializes the kernel as it does for gemv.
+    // Same arithmetic, same per-column order: results are bit-identical.
+    gemm_dispatch<T>(alpha, a, ta, ConstMatrixViewT<T>{b.data, b.rows, 1, b.ld},
+                     Trans::No, beta, MatrixViewT<T>{c.data, c.rows, 1, c.ld});
+    return;
+  }
   gemm_dispatch<T>(alpha, a, ta, b, tb, beta, c);
 }
 

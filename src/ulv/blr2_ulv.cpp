@@ -3,6 +3,8 @@
 #include "common/error.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
+#include "runtime/thread_pool_executor.hpp"
+#include "ulv/blr2_ulv_tasks.hpp"
 
 namespace hatrix::ulv {
 
@@ -17,95 +19,33 @@ BLR2ULV::BLR2ULV(const fmt::BLR2Matrix& a, std::vector<NodeFactor> factors,
 }
 
 BLR2ULV BLR2ULV::factorize(const fmt::BLR2Matrix& a) {
-  BLR2ULV out;
-  out.a_ = &a;
-  const index_t p = a.num_blocks();
-  out.factors_.resize(static_cast<std::size_t>(p));
-  out.skel_offset_.assign(static_cast<std::size_t>(p) + 1, 0);
-
-  // Per-block diagonal product + partial factorization (lines 1-2 of Alg. 1).
-  // F64Block promotes FP32-demoted bases/couplings for the FP64 kernels.
-  std::vector<Matrix> schur(static_cast<std::size_t>(p));
-  for (index_t i = 0; i < p; ++i) {
-    const auto& nd = a.node(i);
-    auto res = partial_factor(nd.diag.view(), la::F64Block(nd.basis).view());
-    out.factors_[static_cast<std::size_t>(i)] = std::move(res.factor);
-    schur[static_cast<std::size_t>(i)] = std::move(res.ss_schur);
-    out.skel_offset_[static_cast<std::size_t>(i) + 1] =
-        out.skel_offset_[static_cast<std::size_t>(i)] + nd.rank;
-  }
-
-  // Merge (permute) all skeleton blocks into one dense matrix (line 3,
-  // Fig. 4) and Cholesky-factorize it.
-  const index_t total = out.skel_offset_[static_cast<std::size_t>(p)];
-  Matrix merged(total, total);
-  for (index_t i = 0; i < p; ++i) {
-    const index_t oi = out.skel_offset_[static_cast<std::size_t>(i)];
-    const index_t ki = a.node(i).rank;
-    if (ki > 0)
-      la::copy(schur[static_cast<std::size_t>(i)].view(), merged.block(oi, oi, ki, ki));
-    for (index_t j = 0; j < i; ++j) {
-      const index_t oj = out.skel_offset_[static_cast<std::size_t>(j)];
-      const index_t kj = a.node(j).rank;
-      if (ki == 0 || kj == 0) continue;
-      la::F64Block sb(a.coupling(i, j));
-      la::copy(sb.view(), merged.block(oi, oj, ki, kj));
-      Matrix st = la::transpose(sb.view());
-      la::copy(st.view(), merged.block(oj, oi, kj, ki));
-    }
-  }
-  la::potrf(merged.view());
-  out.merged_l_ = std::move(merged);
-  return out;
+  // The sequential factorization is the Alg. 1 task DAG on one worker.
+  rt::TaskGraph graph;
+  const BLR2ULVDag dag = emit_blr2_ulv_dag(a, graph, /*with_work=*/true);
+  rt::ThreadPoolExecutor(1).run(graph);
+  return extract_blr2_factorization(dag);
 }
 
 std::vector<double> BLR2ULV::solve(const std::vector<double>& b) const {
-  const fmt::BLR2Matrix& a = *a_;
-  const index_t n = a.size(), p = a.num_blocks();
-  HATRIX_CHECK(static_cast<index_t>(b.size()) == n, "solve: rhs length mismatch");
-
-  // Forward: per-block rotate + eliminate; gather skeleton RHS.
-  std::vector<NodeForward> fwd(static_cast<std::size_t>(p));
-  const index_t total = skel_offset_[static_cast<std::size_t>(p)];
-  std::vector<double> z(static_cast<std::size_t>(total), 0.0);
-  for (index_t i = 0; i < p; ++i) {
-    const auto& nd = a.node(i);
-    fwd[static_cast<std::size_t>(i)] = forward_step(
-        factors_[static_cast<std::size_t>(i)], la::F64Block(nd.basis).view(),
-        b.data() + nd.begin);
-    const auto& zs = fwd[static_cast<std::size_t>(i)].z_s;
-    std::copy(zs.begin(), zs.end(),
-              z.begin() + skel_offset_[static_cast<std::size_t>(i)]);
-  }
-
-  // Coupled skeleton solve.
-  if (total > 0) {
-    la::MatrixView zv{z.data(), total, 1, total};
-    la::potrs(merged_l_.view(), zv);
-  }
-
-  // Backward: reconstruct block-local solutions.
-  std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-  for (index_t i = 0; i < p; ++i) {
-    const auto& nd = a.node(i);
-    std::vector<double> xs(
-        z.begin() + skel_offset_[static_cast<std::size_t>(i)],
-        z.begin() + skel_offset_[static_cast<std::size_t>(i) + 1]);
-    std::vector<double> xl = backward_step(
-        factors_[static_cast<std::size_t>(i)], la::F64Block(nd.basis).view(),
-        fwd[static_cast<std::size_t>(i)], xs);
-    for (index_t r = 0; r < nd.block_size(); ++r)
-      x[static_cast<std::size_t>(nd.begin + r)] = xl[static_cast<std::size_t>(r)];
-  }
+  const auto n = static_cast<index_t>(b.size());
+  HATRIX_CHECK(n == a_->size(), "solve: rhs length mismatch");
+  std::vector<double> x(b.size());
+  solve_into({b.data(), n, 1, n}, {x.data(), n, 1, n});
   return x;
 }
 
 Matrix BLR2ULV::solve(const Matrix& b) const {
+  HATRIX_CHECK(b.rows() == a_->size(), "solve: rhs row count mismatch");
+  Matrix x(b.rows(), b.cols());
+  solve_into(b.view(), x.view());
+  return x;
+}
+
+void BLR2ULV::solve_into(la::ConstMatrixView b, la::MatrixView x) const {
   const fmt::BLR2Matrix& a = *a_;
-  const index_t n = a.size(), p = a.num_blocks();
-  HATRIX_CHECK(b.rows() == n, "solve: rhs row count mismatch");
-  const index_t nrhs = b.cols();
-  if (nrhs == 0) return Matrix(n, 0);
+  const index_t p = a.num_blocks();
+  const index_t nrhs = b.cols;
+  if (nrhs == 0) return;
 
   // Forward: per-block panel rotate + eliminate; gather skeleton panels.
   std::vector<NodeForwardPanel> fwd(static_cast<std::size_t>(p));
@@ -126,7 +66,6 @@ Matrix BLR2ULV::solve(const Matrix& b) const {
   if (total > 0) la::potrs(merged_l_.view(), z.view());
 
   // Backward: reconstruct block-local solution panels in place.
-  Matrix x(n, nrhs);
   for (index_t i = 0; i < p; ++i) {
     const auto& nd = a.node(i);
     const index_t oi = skel_offset_[static_cast<std::size_t>(i)];
@@ -136,7 +75,6 @@ Matrix BLR2ULV::solve(const Matrix& b) const {
                         fwd[static_cast<std::size_t>(i)], z.block(oi, 0, ki, nrhs),
                         x.block(nd.begin, 0, nd.block_size(), nrhs));
   }
-  return x;
 }
 
 std::int64_t BLR2ULV::memory_bytes() const {

@@ -25,14 +25,18 @@ class BLR2ULV {
  public:
   BLR2ULV() = default;
 
-  /// Assemble from externally computed pieces (the task-based path).
+  /// Assemble from the pieces an executed emit_blr2_ulv_dag graph computed
+  /// (extract_blr2_factorization).
   BLR2ULV(const fmt::BLR2Matrix& a, std::vector<NodeFactor> factors,
           Matrix merged_l);
 
-  /// Factorize; throws hatrix::Error if not positive definite.
+  /// Factorize: the emit_blr2_ulv_dag task graph run on one worker. Throws
+  /// PivotError naming the failing block (level 1, block i) or the merged
+  /// block (0, 0) if the matrix is not positive definite.
   static BLR2ULV factorize(const fmt::BLR2Matrix& a);
 
-  /// Solve A x = b (Eq. 15).
+  /// Solve A x = b (Eq. 15): the panel solve on one-column views of `b`
+  /// and x.
   [[nodiscard]] std::vector<double> solve(const std::vector<double>& b) const;
 
   /// Blocked multi-RHS solve A X = B: per-block rotations and triangular
@@ -43,6 +47,9 @@ class BLR2ULV {
   [[nodiscard]] std::int64_t memory_bytes() const;
 
  private:
+  /// The panel solve behind both solve() overloads (`b`, `x`: n x nrhs).
+  void solve_into(la::ConstMatrixView b, la::MatrixView x) const;
+
   const fmt::BLR2Matrix* a_ = nullptr;
   std::vector<NodeFactor> factors_;
   std::vector<index_t> skel_offset_;  ///< prefix sum of ranks into the merge

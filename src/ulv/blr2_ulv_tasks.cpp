@@ -2,7 +2,6 @@
 
 #include "common/error.hpp"
 #include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
 
 namespace hatrix::ulv {
 
@@ -59,7 +58,7 @@ BLR2ULVDag emit_blr2_ulv_dag(const fmt::BLR2Matrix& a, rt::TaskGraph& graph,
           auto& rot = stp->rotated[static_cast<std::size_t>(ii)];
           auto res = partial_factor_rotated(rot.rotated.view(),
                                             stp->a->node(ii).rank,
-                                            std::move(rot.q_comp));
+                                            std::move(rot.q_comp), 1, ii);
           stp->factors[static_cast<std::size_t>(ii)] = std::move(res.factor);
           stp->schur[static_cast<std::size_t>(ii)] = std::move(res.ss_schur);
           rot.rotated = Matrix();
@@ -109,7 +108,8 @@ BLR2ULVDag emit_blr2_ulv_dag(const fmt::BLR2Matrix& a, rt::TaskGraph& graph,
   graph.insert_task(
       "CHOLESKY", "potrf", {total_rank},
       with_work
-          ? std::function<void()>([stp] { la::potrf(stp->merged_l.view()); })
+          ? std::function<void()>(
+                [stp] { factor_pivot_block(stp->merged_l.view(), 0, 0); })
           : std::function<void()>(),
       {{merged_d, rt::Access::ReadWrite}}, 0, 2);
   return dag;

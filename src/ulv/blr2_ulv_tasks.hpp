@@ -34,8 +34,8 @@ struct BLR2ULVDag {
 BLR2ULVDag emit_blr2_ulv_dag(const fmt::BLR2Matrix& a, rt::TaskGraph& graph,
                              bool with_work);
 
-/// Package the executed DAG's results as a BLR2ULV equivalent to the
-/// sequential factorization.
+/// Package the executed DAG's results as a BLR2ULV (BLR2ULV::factorize is
+/// this DAG run on one worker).
 BLR2ULV extract_blr2_factorization(const BLR2ULVDag& dag);
 
 }  // namespace hatrix::ulv

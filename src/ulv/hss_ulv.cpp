@@ -5,178 +5,47 @@
 #include "common/error.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
-#include "linalg/norms.hpp"
+#include "runtime/thread_pool_executor.hpp"
+#include "ulv/hss_ulv_tasks.hpp"
 
 namespace hatrix::ulv {
 
-namespace {
-
-/// Assemble a parent's dense diagonal from its children's skeleton Schur
-/// complements and the sibling coupling (the Merge step, line 4 of Alg. 2):
-///   D_p = [ SS_0  Sᵀ ; S  SS_1 ]  with S = coupling between (2t+1, 2t).
-/// The coupling arrives as an FP64 view (callers promote demoted storage
-/// through la::F64Block).
-Matrix merge_diag(const Matrix& ss0, const Matrix& ss1,
-                  la::ConstMatrixView s_lower) {
-  const index_t k0 = ss0.rows(), k1 = ss1.rows();
-  HATRIX_CHECK(s_lower.rows == k1 && s_lower.cols == k0,
-               "merge: coupling shape mismatch");
-  Matrix d(k0 + k1, k0 + k1);
-  if (k0 > 0) la::copy(ss0.view(), d.block(0, 0, k0, k0));
-  if (k1 > 0) la::copy(ss1.view(), d.block(k0, k0, k1, k1));
-  if (k0 > 0 && k1 > 0) {
-    la::copy(s_lower, d.block(k0, 0, k1, k0));
-    Matrix st = la::transpose(s_lower);
-    la::copy(st.view(), d.block(0, k0, k0, k1));
-  }
-  return d;
-}
-
-}  // namespace
-
 HSSULV HSSULV::factorize(const fmt::HSSMatrix& a) {
-  HSSULV out;
-  out.a_ = &a;
-  const int L = a.max_level();
-  out.factors_.resize(static_cast<std::size_t>(L) + 1);
-
-  if (L == 0) {
-    // Degenerate single-block HSS: plain dense Cholesky.
-    out.root_l_ = Matrix::from_view(a.node(0, 0).diag.view());
-    la::potrf(out.root_l_.view());
-    return out;
-  }
-
-  // Working diagonals for the current level; leaf diagonals to start.
-  std::vector<Matrix> diags(static_cast<std::size_t>(a.num_nodes(L)));
-  for (index_t i = 0; i < a.num_nodes(L); ++i)
-    diags[static_cast<std::size_t>(i)] =
-        Matrix::from_view(a.node(L, i).diag.view());
-
-  for (int l = L; l >= 1; --l) {
-    auto& level_factors = out.factors_[static_cast<std::size_t>(l)];
-    level_factors.resize(static_cast<std::size_t>(a.num_nodes(l)));
-    std::vector<Matrix> schur(static_cast<std::size_t>(a.num_nodes(l)));
-
-    // Diagonal product + partial factorization: independent per node.
-    // F64Block promotes FP32-demoted bases/couplings for the kernels.
-    for (index_t i = 0; i < a.num_nodes(l); ++i) {
-      auto res = partial_factor(diags[static_cast<std::size_t>(i)].view(),
-                                la::F64Block(a.node(l, i).basis).view());
-      level_factors[static_cast<std::size_t>(i)] = std::move(res.factor);
-      schur[static_cast<std::size_t>(i)] = std::move(res.ss_schur);
-    }
-
-    // Merge into the parent level (or into the root block).
-    std::vector<Matrix> parent_diags(static_cast<std::size_t>(a.num_nodes(l - 1)));
-    for (index_t t = 0; t < a.num_pairs(l); ++t) {
-      parent_diags[static_cast<std::size_t>(t)] =
-          merge_diag(schur[static_cast<std::size_t>(2 * t)],
-                     schur[static_cast<std::size_t>(2 * t + 1)],
-                     la::F64Block(a.coupling(l, t)).view());
-    }
-    diags = std::move(parent_diags);
-  }
-
-  out.root_l_ = std::move(diags[0]);
-  la::potrf(out.root_l_.view());
-  return out;
+  // The sequential factorization is the task DAG on one worker: the same
+  // task bodies, and bit for bit the same factors, as every parallel run.
+  // Working blocks are freed at their last use.
+  rt::TaskGraph graph;
+  const HSSULVDag dag =
+      emit_hss_ulv_dag(a, graph, /*with_work=*/true, rt::ReleaseMode::Free);
+  rt::ThreadPoolExecutor(1).run(graph);
+  return extract_factorization(dag);
 }
 
 std::vector<double> HSSULV::solve(const std::vector<double>& b) const {
-  const fmt::HSSMatrix& a = *a_;
-  const index_t n = a.size();
-  HATRIX_CHECK(static_cast<index_t>(b.size()) == n, "solve: rhs length mismatch");
-  const int L = a.max_level();
-
-  if (L == 0) {
-    std::vector<double> x = b;
-    la::MatrixView xv{x.data(), n, 1, n};
-    la::potrs(root_l_.view(), xv);
-    return x;
-  }
-
-  // Forward sweep, leaves to root: rotate, eliminate redundant part, pass
-  // the skeleton RHS up (the inner summation of Eq. 17).
-  std::vector<std::vector<NodeForward>> fwd(static_cast<std::size_t>(L) + 1);
-  std::vector<std::vector<double>> carried(static_cast<std::size_t>(a.num_nodes(L)));
-  for (index_t i = 0; i < a.num_nodes(L); ++i) {
-    const auto& nd = a.node(L, i);
-    carried[static_cast<std::size_t>(i)].assign(
-        b.begin() + nd.begin, b.begin() + nd.end);
-  }
-  for (int l = L; l >= 1; --l) {
-    auto& level_fwd = fwd[static_cast<std::size_t>(l)];
-    level_fwd.resize(static_cast<std::size_t>(a.num_nodes(l)));
-    for (index_t i = 0; i < a.num_nodes(l); ++i) {
-      level_fwd[static_cast<std::size_t>(i)] =
-          forward_step(factors_[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)],
-                       la::F64Block(a.node(l, i).basis).view(),
-                       carried[static_cast<std::size_t>(i)].data());
-    }
-    std::vector<std::vector<double>> parent(static_cast<std::size_t>(a.num_nodes(l - 1)));
-    for (index_t t = 0; t < a.num_pairs(l); ++t) {
-      auto& up = parent[static_cast<std::size_t>(t)];
-      const auto& z0 = level_fwd[static_cast<std::size_t>(2 * t)].z_s;
-      const auto& z1 = level_fwd[static_cast<std::size_t>(2 * t + 1)].z_s;
-      up.reserve(z0.size() + z1.size());
-      up.insert(up.end(), z0.begin(), z0.end());
-      up.insert(up.end(), z1.begin(), z1.end());
-    }
-    carried = std::move(parent);
-  }
-
-  // Root: dense Cholesky solve.
-  std::vector<double> x_root = carried[0];
-  if (!x_root.empty()) {
-    la::MatrixView xv{x_root.data(), static_cast<index_t>(x_root.size()), 1,
-                      static_cast<index_t>(x_root.size())};
-    la::potrs(root_l_.view(), xv);
-  }
-
-  // Backward sweep, root to leaves: split the parent's solution into the
-  // children's skeleton solutions and reconstruct node-local solutions.
-  std::vector<std::vector<double>> down(static_cast<std::size_t>(1), std::move(x_root));
-  for (int l = 1; l <= L; ++l) {
-    std::vector<std::vector<double>> next(static_cast<std::size_t>(a.num_nodes(l)));
-    for (index_t t = 0; t < a.num_pairs(l); ++t) {
-      const auto& parent_x = down[static_cast<std::size_t>(t)];
-      const auto& f0 = factors_[static_cast<std::size_t>(l)][static_cast<std::size_t>(2 * t)];
-      const auto& f1 = factors_[static_cast<std::size_t>(l)][static_cast<std::size_t>(2 * t + 1)];
-      std::vector<double> xs0(parent_x.begin(), parent_x.begin() + f0.k);
-      std::vector<double> xs1(parent_x.begin() + f0.k, parent_x.end());
-      next[static_cast<std::size_t>(2 * t)] = backward_step(
-          f0, la::F64Block(a.node(l, 2 * t).basis).view(),
-          fwd[static_cast<std::size_t>(l)][static_cast<std::size_t>(2 * t)], xs0);
-      next[static_cast<std::size_t>(2 * t + 1)] = backward_step(
-          f1, la::F64Block(a.node(l, 2 * t + 1).basis).view(),
-          fwd[static_cast<std::size_t>(l)][static_cast<std::size_t>(2 * t + 1)], xs1);
-    }
-    down = std::move(next);
-  }
-
-  std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-  for (index_t i = 0; i < a.num_nodes(L); ++i) {
-    const auto& nd = a.node(L, i);
-    const auto& xl = down[static_cast<std::size_t>(i)];
-    for (index_t r = 0; r < nd.block_size(); ++r)
-      x[static_cast<std::size_t>(nd.begin + r)] = xl[static_cast<std::size_t>(r)];
-  }
+  const auto n = static_cast<index_t>(b.size());
+  HATRIX_CHECK(n == a_->size(), "solve: rhs length mismatch");
+  std::vector<double> x(b.size());
+  solve_into({b.data(), n, 1, n}, {x.data(), n, 1, n});
   return x;
 }
 
 Matrix HSSULV::solve(const Matrix& b) const {
+  HATRIX_CHECK(b.rows() == a_->size(), "solve: rhs row count mismatch");
+  Matrix x(b.rows(), b.cols());
+  solve_into(b.view(), x.view());
+  return x;
+}
+
+void HSSULV::solve_into(la::ConstMatrixView b, la::MatrixView x) const {
   const fmt::HSSMatrix& a = *a_;
-  const index_t n = a.size();
-  HATRIX_CHECK(b.rows() == n, "solve: rhs row count mismatch");
-  const index_t nrhs = b.cols();
+  const index_t nrhs = b.cols;
   const int L = a.max_level();
-  if (nrhs == 0) return Matrix(n, 0);
+  if (nrhs == 0) return;
 
   if (L == 0) {
-    Matrix x = Matrix::from_view(b.view());
-    la::potrs(root_l_.view(), x.view());
-    return x;
+    la::copy(b, x);
+    la::potrs(root_l_.view(), x);
+    return;
   }
 
   // Forward sweep on whole panels, leaves to root: one gemm/trsm pass per
@@ -216,7 +85,6 @@ Matrix HSSULV::solve(const Matrix& b) const {
 
   // Backward sweep, root to leaves: split each parent panel into the
   // children's skeleton panels and reconstruct node-local solution panels.
-  Matrix x(n, nrhs);
   std::vector<Matrix> down(1);
   down[0] = std::move(x_root);
   for (int l = 1; l <= L; ++l) {
@@ -247,7 +115,6 @@ Matrix HSSULV::solve(const Matrix& b) const {
     }
     down = std::move(next);
   }
-  return x;
 }
 
 Matrix HSSULV::solve_columnwise(const Matrix& b) const {

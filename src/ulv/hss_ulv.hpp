@@ -29,34 +29,36 @@ class HSSULV {
  public:
   HSSULV() = default;
 
-  /// Assemble a factorization from externally computed pieces — used by the
-  /// task-based factorization (hss_ulv_tasks) after the runtime has executed
-  /// the DAG. `factors[level][node]`; `root_l` is the Cholesky factor of A_0.
+  /// Assemble a factorization from the pieces an executed
+  /// emit_hss_ulv_dag graph computed (extract_factorization).
+  /// `factors[level][node]`; `root_l` is the Cholesky factor of A_0.
   HSSULV(const fmt::HSSMatrix& a, std::vector<std::vector<NodeFactor>> factors,
          Matrix root_l)
       : a_(&a), factors_(std::move(factors)), root_l_(std::move(root_l)) {}
 
-  /// Factorize a symmetric positive definite HSS matrix. Throws
-  /// hatrix::Error if a pivot fails (matrix not SPD on the compressed
-  /// representation).
+  /// Factorize a symmetric positive definite HSS matrix: the
+  /// emit_hss_ulv_dag task graph run on one worker, with working blocks
+  /// freed at their last use. Throws PivotError naming the node whose pivot
+  /// block fails (matrix not SPD on the compressed representation).
   static HSSULV factorize(const fmt::HSSMatrix& a);
 
-  /// Solve A x = b; returns x. `b.size()` must equal `a.size()`.
+  /// Solve A x = b; returns x. `b.size()` must equal `a.size()`. Runs the
+  /// panel solve on one-column views of `b` and x (no copies).
   [[nodiscard]] std::vector<double> solve(const std::vector<double>& b) const;
 
-  /// Solve A X = B for a whole panel of right-hand sides through the
-  /// blocked multi-RHS path: the level-by-level rotations and triangular
-  /// solves are applied to the entire panel via gemm/trsm, so each node's
-  /// factor blocks are streamed through the cache once per panel instead of
-  /// once per column. Column j of the result is bit-identical to
-  /// solve(column j) and to solve_columnwise(b) — the per-column operation
-  /// order is unchanged, only the blocking is.
+  /// Solve A X = B for a whole panel of right-hand sides: the
+  /// level-by-level rotations and triangular solves are applied to the
+  /// entire panel via gemm/trsm, so each node's factor blocks are streamed
+  /// through the cache once per panel instead of once per column. Column j
+  /// of the result is bit-identical to solve(column j) and to
+  /// solve_columnwise(b) — the per-column operation order is unchanged,
+  /// only the blocking is.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
 
-  /// Test oracle: the pre-blocked column-by-column solve (one full
-  /// single-RHS sweep per column of B). Kept only so tests and
-  /// bench_solve_throughput can assert the blocked path is bit-identical
-  /// and measure its speedup; new code should call solve(const Matrix&).
+  /// Test oracle: one single-RHS solve per column of B. Kept only so tests
+  /// and bench_solve_throughput can assert the blocked path is
+  /// bit-identical and measure its speedup; new code should call
+  /// solve(const Matrix&).
   [[nodiscard]] Matrix solve_columnwise(const Matrix& b) const;
 
   /// Solve with iterative refinement: after the direct ULV solve, perform
@@ -85,6 +87,10 @@ class HSSULV {
   [[nodiscard]] const Matrix& root_factor() const { return root_l_; }
 
  private:
+  /// The panel solve behind both solve() overloads: X = A^{-1} B, with
+  /// `b` and `x` both n x nrhs.
+  void solve_into(la::ConstMatrixView b, la::MatrixView x) const;
+
   const fmt::HSSMatrix* a_ = nullptr;
   std::vector<std::vector<NodeFactor>> factors_;  // [level][node]
   Matrix root_l_;                                 // dense Cholesky of A_0

@@ -5,29 +5,8 @@
 
 #include "common/error.hpp"
 #include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
 
 namespace hatrix::ulv {
-
-namespace {
-
-// The coupling arrives as an FP64 view: callers promote FP32-demoted
-// storage through la::F64Block (mixed-precision mode).
-Matrix merge_diag(const Matrix& ss0, const Matrix& ss1,
-                  la::ConstMatrixView s_lower) {
-  const index_t k0 = ss0.rows(), k1 = ss1.rows();
-  Matrix d(k0 + k1, k0 + k1);
-  if (k0 > 0) la::copy(ss0.view(), d.block(0, 0, k0, k0));
-  if (k1 > 0) la::copy(ss1.view(), d.block(k0, k0, k1, k1));
-  if (k0 > 0 && k1 > 0) {
-    la::copy(s_lower, d.block(k0, 0, k1, k0));
-    Matrix st = la::transpose(s_lower);
-    la::copy(st.view(), d.block(0, k0, k0, k1));
-  }
-  return d;
-}
-
-}  // namespace
 
 HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
                            bool with_work, rt::ReleaseMode release) {
@@ -156,7 +135,7 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
         "ROOT_FACTOR", "potrf", {a.size()},
         with_work ? std::function<void()>([stp] {
           stp->root_l = Matrix::from_view(stp->a->node(0, 0).diag.view());
-          la::potrf(stp->root_l.view());
+          factor_pivot_block(stp->root_l.view(), 0, 0);
         })
                   : std::function<void()>(),
         {{dag.root_data, rt::Access::Write}}, /*priority=*/0, /*phase=*/0);
@@ -204,7 +183,7 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
                 stp->rotated[static_cast<std::size_t>(li)][static_cast<std::size_t>(ii)];
             const index_t k = stp->a->node(li, ii).rank;
             auto res = partial_factor_rotated(rot.rotated.view(), k,
-                                              std::move(rot.q_comp));
+                                              std::move(rot.q_comp), li, ii);
             stp->factors[static_cast<std::size_t>(li)][static_cast<std::size_t>(ii)] =
                 std::move(res.factor);
             stp->schur[static_cast<std::size_t>(li)][static_cast<std::size_t>(ii)] =
@@ -260,7 +239,7 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
         "ROOT_FACTOR", "potrf", {kroot},
         with_work ? std::function<void()>([stp] {
           stp->root_l = std::move(stp->diags[0][0]);
-          la::potrf(stp->root_l.view());
+          factor_pivot_block(stp->root_l.view(), 0, 0);
         })
                   : std::function<void()>(),
         {{dag.diag_data[0][0], rt::Access::Read},

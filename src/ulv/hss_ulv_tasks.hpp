@@ -63,8 +63,8 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
                            bool with_work,
                            rt::ReleaseMode release = rt::ReleaseMode::None);
 
-/// After an executor ran the with-work DAG, package the computed pieces into
-/// the same HSSULV object the sequential path produces.
+/// After an executor ran the with-work DAG, package the computed pieces as
+/// an HSSULV (HSSULV::factorize is this DAG run on one worker).
 HSSULV extract_factorization(const HSSULVDag& dag);
 
 }  // namespace hatrix::ulv

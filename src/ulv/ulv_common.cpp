@@ -36,8 +36,24 @@ DiagProductResult diag_product(la::ConstMatrixView diag, la::ConstMatrixView bas
   return out;
 }
 
+PivotError::PivotError(int level, index_t node, const std::string& detail)
+    : Error("ULV pivot block of node (" + std::to_string(level) + "," +
+            std::to_string(node) + ") is not positive definite: " + detail),
+      level_(level),
+      node_(node) {}
+
+void factor_pivot_block(la::MatrixView a, int level, index_t node) {
+  // la::potrf's only failure on a square block is a non-positive pivot.
+  HATRIX_CHECK(a.rows == a.cols, "factor_pivot_block: square block required");
+  try {
+    la::potrf(a);
+  } catch (const Error& e) {
+    throw PivotError(level, node, e.what());
+  }
+}
+
 PartialFactorResult partial_factor_rotated(la::ConstMatrixView rotated, index_t k,
-                                           Matrix q_comp) {
+                                           Matrix q_comp, int level, index_t node) {
   const index_t m = rotated.rows;
   HATRIX_CHECK(rotated.cols == m, "partial_factor_rotated: square input required");
   HATRIX_CHECK(k >= 0 && k <= m, "partial_factor_rotated: bad rank");
@@ -51,7 +67,7 @@ PartialFactorResult partial_factor_rotated(la::ConstMatrixView rotated, index_t 
   Matrix sr = Matrix::from_view(rotated.block(m - k, 0, k, m - k));
   Matrix ss = Matrix::from_view(rotated.block(m - k, m - k, k, k));
 
-  la::potrf(rr.view());  // Eq. 10
+  factor_pivot_block(rr.view(), level, node);  // Eq. 10
   out.factor.l_rr = std::move(rr);
   la::trsm(la::Side::Right, la::UpLo::Lower, la::Trans::Yes, la::Diag::NonUnit, 1.0,
            out.factor.l_rr.view(), sr.view());  // Eq. 11
@@ -61,31 +77,19 @@ PartialFactorResult partial_factor_rotated(la::ConstMatrixView rotated, index_t 
   return out;
 }
 
-PartialFactorResult partial_factor(la::ConstMatrixView diag,
-                                   la::ConstMatrixView basis) {
-  DiagProductResult rot = diag_product(diag, basis);
-  return partial_factor_rotated(rot.rotated.view(), basis.cols,
-                                std::move(rot.q_comp));
-}
-
-NodeForward forward_step(const NodeFactor& f, la::ConstMatrixView basis,
-                         const double* b_local) {
-  NodeForward fw;
-  fw.z_r.assign(static_cast<std::size_t>(f.m - f.k), 0.0);
-  fw.z_s.assign(static_cast<std::size_t>(f.k), 0.0);
-  if (f.m - f.k > 0) {
-    la::gemv(1.0, f.q_comp.view(), la::Trans::Yes, b_local, 0.0, fw.z_r.data());
-    // z_r = L_RR^{-1} (Qᵀ b)
-    la::MatrixView zr{fw.z_r.data(), f.m - f.k, 1, f.m - f.k};
-    la::trsm(la::Side::Left, la::UpLo::Lower, la::Trans::No, la::Diag::NonUnit, 1.0,
-             f.l_rr.view(), zr);
+Matrix merge_diag(const Matrix& ss0, const Matrix& ss1, la::ConstMatrixView s_lower) {
+  const index_t k0 = ss0.rows(), k1 = ss1.rows();
+  HATRIX_CHECK(s_lower.rows == k1 && s_lower.cols == k0,
+               "merge: coupling shape mismatch");
+  Matrix d(k0 + k1, k0 + k1);
+  if (k0 > 0) la::copy(ss0.view(), d.block(0, 0, k0, k0));
+  if (k1 > 0) la::copy(ss1.view(), d.block(k0, k0, k1, k1));
+  if (k0 > 0 && k1 > 0) {
+    la::copy(s_lower, d.block(k0, 0, k1, k0));
+    Matrix st = la::transpose(s_lower);
+    la::copy(st.view(), d.block(0, k0, k0, k1));
   }
-  if (f.k > 0) {
-    la::gemv(1.0, basis, la::Trans::Yes, b_local, 0.0, fw.z_s.data());
-    if (f.m - f.k > 0)
-      la::gemv(-1.0, f.l_sr.view(), la::Trans::No, fw.z_r.data(), 1.0, fw.z_s.data());
-  }
-  return fw;
+  return d;
 }
 
 NodeForwardPanel forward_step_panel(const NodeFactor& f, la::ConstMatrixView basis,
@@ -134,27 +138,6 @@ void backward_step_panel(const NodeFactor& f, la::ConstMatrixView basis,
   } else {
     la::fill(x_out, 0.0);
   }
-}
-
-std::vector<double> backward_step(const NodeFactor& f, la::ConstMatrixView basis,
-                                  const NodeForward& fw,
-                                  const std::vector<double>& x_s) {
-  HATRIX_CHECK(static_cast<index_t>(x_s.size()) == f.k,
-               "backward_step: skeleton solution has wrong length");
-  std::vector<double> x(static_cast<std::size_t>(f.m), 0.0);
-  if (f.m - f.k > 0) {
-    // x_r = L_RRᵀ^{-1} (z_r - L_SRᵀ x_s)
-    std::vector<double> rhs = fw.z_r;
-    if (f.k > 0)
-      la::gemv(-1.0, f.l_sr.view(), la::Trans::Yes, x_s.data(), 1.0, rhs.data());
-    la::MatrixView rv{rhs.data(), f.m - f.k, 1, f.m - f.k};
-    la::trsm(la::Side::Left, la::UpLo::Lower, la::Trans::Yes, la::Diag::NonUnit, 1.0,
-             f.l_rr.view(), rv);
-    la::gemv(1.0, f.q_comp.view(), la::Trans::No, rhs.data(), 0.0, x.data());
-  }
-  if (f.k > 0)
-    la::gemv(1.0, basis, la::Trans::No, x_s.data(), 1.0, x.data());
-  return x;
 }
 
 }  // namespace hatrix::ulv

@@ -7,8 +7,7 @@
 /// Cholesky-factorize the redundant (RR) part, and leave a Schur-complement
 /// skeleton (SS) block for the next level / merge step.
 
-#include <vector>
-
+#include "common/error.hpp"
 #include "linalg/matrix.hpp"
 
 namespace hatrix::ulv {
@@ -50,47 +49,53 @@ struct DiagProductResult {
 /// [Uᴿ Uˢ]. `basis` must have orthonormal columns.
 DiagProductResult diag_product(la::ConstMatrixView diag, la::ConstMatrixView basis);
 
-/// The "Partial Factorization" step (Eq. 10-12) on an already-rotated
-/// diagonal: Cholesky of the leading (m-k) RR block, the SR coupling solve,
-/// and the SS Schur complement. Throws if RR is not positive definite.
-PartialFactorResult partial_factor_rotated(la::ConstMatrixView rotated, index_t k,
-                                           Matrix q_comp);
+/// A ULV pivot block (a node's redundant RR block, or the root block) is not
+/// positive definite: the compressed operator is not SPD. Names the node;
+/// the root block is (0, 0), and BLR² blocks are level 1.
+class PivotError : public Error {
+ public:
+  PivotError(int level, index_t node, const std::string& detail);
+  [[nodiscard]] int level() const { return level_; }
+  [[nodiscard]] index_t node() const { return node_; }
 
-/// Both steps fused (the sequential path).
-PartialFactorResult partial_factor(la::ConstMatrixView diag,
-                                   la::ConstMatrixView basis);
-
-/// Forward-solve bookkeeping for one node: rotated RHS pieces.
-struct NodeForward {
-  std::vector<double> z_r;  ///< L_RR^{-1} Qᵀ b (length m-k)
-  std::vector<double> z_s;  ///< Uˢᵀ b - L_SR z_r (length k), passed up
+ private:
+  int level_;
+  index_t node_;
 };
 
-/// Apply the forward step of the ULV solve at one node (Eq. 15/17 inner
-/// factor): rotate the local RHS and eliminate the redundant part.
-NodeForward forward_step(const NodeFactor& f, la::ConstMatrixView basis,
-                         const double* b_local);
+/// In-place la::potrf of the pivot block of node (level, node); a failed
+/// pivot is rethrown as PivotError.
+void factor_pivot_block(la::MatrixView a, int level, index_t node);
 
-/// Apply the backward step: given the skeleton solution x_s (length k),
-/// reconstruct the node-local solution x = Uᴿ x_r + Uˢ x_s (length m).
-std::vector<double> backward_step(const NodeFactor& f, la::ConstMatrixView basis,
-                                  const NodeForward& fw,
-                                  const std::vector<double>& x_s);
+/// The "Partial Factorization" step (Eq. 10-12) on an already-rotated
+/// diagonal: Cholesky of the leading (m-k) RR block, the SR coupling solve,
+/// and the SS Schur complement. Throws PivotError naming (level, node) if RR
+/// is not positive definite.
+PartialFactorResult partial_factor_rotated(la::ConstMatrixView rotated, index_t k,
+                                           Matrix q_comp, int level, index_t node);
 
-/// Forward-solve bookkeeping for a whole RHS panel at one node. The panel
-/// analogue of NodeForward: each column is one right-hand side, and the
-/// rotations / triangular solves are applied to all of them at once
-/// (gemm/trsm instead of per-column gemv/trsv), which streams the node's
-/// factor blocks through the cache once per panel instead of once per RHS.
+/// The Merge step (line 4 of Alg. 2): assemble a parent's dense diagonal
+///   D_p = [ SS_0  Sᵀ ; S  SS_1 ]
+/// from its children's skeleton Schur complements and the sibling coupling
+/// S between (2t+1, 2t). The coupling arrives as an FP64 view (callers
+/// promote demoted storage through la::F64Block).
+Matrix merge_diag(const Matrix& ss0, const Matrix& ss1, la::ConstMatrixView s_lower);
+
+/// Forward-solve bookkeeping for a RHS panel at one node: each column is one
+/// right-hand side, and the rotations / triangular solves are applied to all
+/// of them at once, which streams the node's factor blocks through the cache
+/// once per panel instead of once per RHS. A single-RHS solve is the
+/// one-column panel.
 struct NodeForwardPanel {
   Matrix z_r;  ///< (m-k) x nrhs: L_RR^{-1} Qᵀ B
   Matrix z_s;  ///< k x nrhs: Uˢᵀ B - L_SR Z_R, passed up
 };
 
-/// Panel forward step: forward_step applied to every column of `b_local`
-/// ((m x nrhs) view) in blocked form. Column j of the result equals
-/// forward_step on column j of the panel exactly (same operation order per
-/// column), so blocked and per-column solves are bit-identical.
+/// Forward step of the ULV solve at one node (Eq. 15/17 inner factor) on an
+/// (m x nrhs) panel: rotate the local RHS and eliminate the redundant part.
+/// Column j of the result equals the step on column j alone exactly (same
+/// operation order per column), so blocked and per-column solves are
+/// bit-identical.
 NodeForwardPanel forward_step_panel(const NodeFactor& f, la::ConstMatrixView basis,
                                     la::ConstMatrixView b_local);
 

@@ -67,7 +67,9 @@ TEST(EdgeUlv, PartialFactorWithZeroRank) {
   Rng rng(602);
   Matrix d = Matrix::random_spd(rng, 8);
   Matrix u(8, 0);
-  auto res = ulv::partial_factor(d.view(), u.view());
+  auto rot = ulv::diag_product(d.view(), u.view());
+  auto res = ulv::partial_factor_rotated(rot.rotated.view(), 0, std::move(rot.q_comp),
+                                         /*level=*/1, /*node=*/0);
   EXPECT_EQ(res.factor.k, 0);
   EXPECT_EQ(res.factor.l_rr.rows(), 8);
   EXPECT_EQ(res.ss_schur.rows(), 0);
@@ -78,7 +80,9 @@ TEST(EdgeUlv, PartialFactorWithFullRank) {
   Rng rng(603);
   Matrix d = Matrix::random_spd(rng, 8);
   auto qf = la::qr(Matrix::random_normal(rng, 8, 8).view());
-  auto res = ulv::partial_factor(d.view(), qf.q.view());
+  auto rot = ulv::diag_product(d.view(), qf.q.view());
+  auto res = ulv::partial_factor_rotated(rot.rotated.view(), 8, std::move(rot.q_comp),
+                                         /*level=*/1, /*node=*/0);
   EXPECT_EQ(res.factor.k, 8);
   EXPECT_EQ(res.factor.l_rr.rows(), 0);
   EXPECT_EQ(res.ss_schur.rows(), 8);

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "geometry/cluster_tree.hpp"
 #include "kernels/bessel.hpp"
 #include "kernels/kernel_matrix.hpp"
@@ -182,6 +183,32 @@ TEST(KernelMatrix, OutOfRangeBlockThrows) {
   geom::Domain d = geom::grid2d(16);
   KernelMatrix km(k, d.points);
   EXPECT_THROW((void)km.block(10, 0, 10, 4), Error);
+}
+
+TEST(NewKernels, Laplace3dOnCube) {
+  auto k = make_kernel("laplace3d");
+  geom::Domain d = geom::grid3d(216);
+  geom::ClusterTree tree(d, 27);
+  KernelMatrix km(*k, tree.points());
+  la::Matrix a = km.dense();
+  // Symmetric and positive definite on the cube grid.
+  EXPECT_NO_THROW(la::potrf(a.view()));
+}
+
+TEST(NewKernels, ImqIsPositiveDefiniteWithoutRegularization) {
+  auto k = make_kernel("imq");
+  Rng rng(302);
+  geom::Domain d = geom::random2d(300, rng);
+  geom::ClusterTree tree(d, 50);
+  KernelMatrix km(*k, tree.points());
+  la::Matrix a = km.dense();
+  EXPECT_NO_THROW(la::potrf(a.view()));
+}
+
+TEST(NewKernels, Laplace3dMatchesFormula) {
+  Laplace3D k(1e-9);
+  Point a{{0, 0, 0}}, b{{0, 0, 2.0}};
+  EXPECT_DOUBLE_EQ(k(a, b), 1.0 / (1e-9 + 2.0));
 }
 
 }  // namespace

@@ -229,6 +229,84 @@ TEST(LinalgConformance, GemmNonContiguousViews) {
 }
 
 // ---------------------------------------------------------------------------
+// One-column calls: a single-RHS solve is the one-column panel solve, so
+// column j of an n-column gemm/trsm must equal the one-column call on
+// column j bit for bit (and a one-column gemm must equal gemv), whatever
+// the operand strides. Checked on the in-tree backends, which carry the
+// determinism invariant (blas_detail.hpp).
+
+TEST(LinalgConformance, GemmOneColumnMatchesPanelColumnsBitwise) {
+  Rng rng(41);
+  const index_t m = 23, k = 31, pad = 5;
+  for (Backend be : {Backend::Naive, Backend::Blocked}) {
+    BackendGuard guard(be);
+    for (Trans ta : {Trans::No, Trans::Yes}) {
+      const index_t ar = ta == Trans::No ? m : k, ac = ta == Trans::No ? k : m;
+      const Matrix abuf = random_matrix(ar + pad, ac + pad, rng);
+      const ConstMatrixView a = abuf.view().block(2, 3, ar, ac);
+      for (index_t n : {1, 2, 6, 7, 13}) {
+        const Matrix bbuf = random_matrix(k + pad, n + pad, rng);
+        const ConstMatrixView b = bbuf.view().block(1, 2, k, n);
+        const Matrix c0 = random_matrix(m + pad, n + pad, rng);
+        Matrix panel = c0;
+        la::gemm(1.25, a, ta, b, Trans::No, -0.5, panel.view().block(4, 1, m, n));
+        int mismatches = 0;
+        for (index_t j = 0; j < n; ++j) {
+          Matrix col = c0;
+          la::gemm(1.25, a, ta, b.block(0, j, k, 1), Trans::No, -0.5,
+                   col.view().block(4, 1 + j, m, 1));
+          std::vector<double> x(static_cast<std::size_t>(k));
+          std::vector<double> y(static_cast<std::size_t>(m));
+          for (index_t i = 0; i < k; ++i) x[static_cast<std::size_t>(i)] = b(i, j);
+          for (index_t i = 0; i < m; ++i) y[static_cast<std::size_t>(i)] = c0(4 + i, 1 + j);
+          la::gemv(1.25, a, ta, x.data(), -0.5, y.data());
+          for (index_t i = 0; i < m; ++i) {
+            const double v = col(4 + i, 1 + j);
+            if (panel(4 + i, 1 + j) != v || y[static_cast<std::size_t>(i)] != v)
+              ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0)
+            << ctx(be, "gemm ta=" + std::to_string(ta == Trans::Yes) +
+                           " n=" + std::to_string(n));
+      }
+    }
+  }
+}
+
+TEST(LinalgConformance, TrsmLeftOneColumnMatchesPanelColumnsBitwise) {
+  // n = 70 spans two kTrsmBlock diagonal blocks, so the gemm update between
+  // them is exercised too.
+  Rng rng(42);
+  const index_t nt = 70, pad = 5;
+  for (Backend be : {Backend::Naive, Backend::Blocked}) {
+    BackendGuard guard(be);
+    for (UpLo uplo : {UpLo::Lower, UpLo::Upper})
+      for (Trans tr : {Trans::No, Trans::Yes}) {
+        const Matrix t = random_triangular(nt, uplo, rng);
+        for (index_t n : {1, 2, 6, 7, 13}) {
+          const Matrix b0 = random_matrix(nt + pad, n + pad, rng);
+          Matrix panel = b0;
+          la::trsm(Side::Left, uplo, tr, Diag::NonUnit, 0.75, t.view(),
+                   panel.view().block(3, 2, nt, n));
+          int mismatches = 0;
+          for (index_t j = 0; j < n; ++j) {
+            Matrix col = b0;
+            la::trsm(Side::Left, uplo, tr, Diag::NonUnit, 0.75, t.view(),
+                     col.view().block(3, 2 + j, nt, 1));
+            for (index_t i = 0; i < nt; ++i)
+              if (panel(3 + i, 2 + j) != col(3 + i, 2 + j)) ++mismatches;
+          }
+          EXPECT_EQ(mismatches, 0)
+              << ctx(be, "trsm uplo=" + std::to_string(uplo == UpLo::Upper) +
+                             " trans=" + std::to_string(tr == Trans::Yes) +
+                             " n=" + std::to_string(n));
+        }
+      }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // syrk
 
 TEST(LinalgConformance, SyrkBothTransBothPrecisions) {

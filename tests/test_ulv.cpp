@@ -142,7 +142,28 @@ TEST(HssUlv, RejectsIndefiniteMatrix) {
   for (index_t i = 0; i < a.rows(); ++i) a(i, i) -= 3.0;
   fmt::DenseAccessor acc(a.view());
   auto h = fmt::build_hss(acc, {.leaf_size = 64, .max_rank = 64, .tol = 0.0});
+  // Full-rank leaves have no redundant block, so the first pivot block the
+  // one-worker DAG factors is node (1,0)'s; the typed error names it and is
+  // still a hatrix::Error.
   EXPECT_THROW(HSSULV::factorize(h), Error);
+  try {
+    (void)HSSULV::factorize(h);
+    FAIL() << "expected PivotError";
+  } catch (const PivotError& e) {
+    EXPECT_EQ(e.level(), 1);
+    EXPECT_EQ(e.node(), 0);
+    EXPECT_NE(std::string(e.what()).find("node (1,0)"), std::string::npos);
+  }
+  // A single-block HSS is all root: the failing pivot block is (0,0).
+  auto h0 = fmt::build_hss(acc, {.leaf_size = 256, .max_rank = 64, .tol = 0.0});
+  ASSERT_EQ(h0.max_level(), 0);
+  try {
+    (void)HSSULV::factorize(h0);
+    FAIL() << "expected PivotError";
+  } catch (const PivotError& e) {
+    EXPECT_EQ(e.level(), 0);
+    EXPECT_EQ(e.node(), 0);
+  }
 }
 
 TEST(HssUlv, SolveRejectsWrongLength) {
@@ -211,7 +232,22 @@ TEST(Blr2Ulv, RejectsIndefinite) {
   for (index_t i = 0; i < a.rows(); ++i) a(i, i) -= 3.0;
   fmt::DenseAccessor acc(a.view());
   auto m = fmt::build_blr2(acc, {.leaf_size = 64, .max_rank = 64, .tol = 0.0});
+  // Full-rank blocks pass their (empty) partial factorization; the merged
+  // skeleton block, the root (0,0), is where the pivot fails.
   EXPECT_THROW(BLR2ULV::factorize(m), Error);
+  auto pivot_at = [](const fmt::BLR2Matrix& mat) -> std::pair<int, index_t> {
+    try {
+      (void)BLR2ULV::factorize(mat);
+    } catch (const PivotError& e) {
+      return {e.level(), e.node()};
+    }
+    return {-1, -1};
+  };
+  EXPECT_EQ(pivot_at(m), std::make_pair(0, index_t{0}));
+  // Rank 16 leaves a redundant block per leaf: block 0's partial
+  // factorization (level 1, node 0) fails first.
+  auto m16 = fmt::build_blr2(acc, {.leaf_size = 64, .max_rank = 16, .tol = 0.0});
+  EXPECT_EQ(pivot_at(m16), std::make_pair(1, index_t{0}));
 }
 
 TEST(Blr2Ulv, HssAndBlr2AgreeOnTwoLevelProblem) {
@@ -245,7 +281,9 @@ TEST(UlvCommon, PartialFactorReconstructs) {
   Matrix d = Matrix::random_spd(rng, m);
   Matrix g = Matrix::random_normal(rng, m, k);
   auto qr_g = la::qr(g.view());
-  auto res = partial_factor(d.view(), qr_g.q.view());
+  auto rot = diag_product(d.view(), qr_g.q.view());
+  auto res = partial_factor_rotated(rot.rotated.view(), k, std::move(rot.q_comp),
+                                    /*level=*/1, /*node=*/0);
   const auto& f = res.factor;
 
   Matrix rr = la::matmul(f.l_rr.view(), f.l_rr.view(), la::Trans::No, la::Trans::Yes);
