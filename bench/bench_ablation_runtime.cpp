@@ -10,9 +10,9 @@
 //     constant; the discovery=0 row is the PTG-style (local-only task
 //     generation) future improvement the paper suggests.
 //
-//   * Measured (Ablation D): the real shared-memory executors — fork-join,
-//     FIFO thread pool, and the critical-path priority scheduler — run the
-//     actual ULV factorization DAG over an N sweep. Per run we time DAG
+//   * Measured (Ablation D): the real shared-memory executor under its three
+//     schedules — fork-join (Phased), FIFO, and the critical-path priority
+//     scheduler — runs the actual ULV factorization DAG over an N sweep. Per run we time DAG
 //     emission (the DTD discovery analogue: the sequential whole-graph
 //     insertion every process repeats) and the in-executor discovery/
 //     ready-queue work (rt::ExecutionStats::discovery_total), and report
@@ -48,8 +48,6 @@
 #include "linalg/matrix.hpp"
 #include "runtime/dag_dataflow.hpp"
 #include "runtime/dag_verify.hpp"
-#include "runtime/fork_join_executor.hpp"
-#include "runtime/priority_executor.hpp"
 #include "runtime/thread_pool_executor.hpp"
 #include "runtime/trace.hpp"
 #include "ulv/hss_ulv.hpp"
@@ -86,7 +84,7 @@ MeasuredRun run_measured(int which, int workers, const fmt::HSSMatrix& h,
   rt::ExecutionStats stats;
   switch (which) {
     case 0: {
-      rt::ForkJoinExecutor ex(workers);
+      rt::ThreadPoolExecutor ex(workers, rt::Schedule::Phased);
       stats = ex.run(graph);
       break;
     }
@@ -96,7 +94,7 @@ MeasuredRun run_measured(int which, int workers, const fmt::HSSMatrix& h,
       break;
     }
     default: {
-      rt::PriorityExecutor ex(workers);
+      rt::ThreadPoolExecutor ex(workers, rt::Schedule::CriticalPath);
       ex.set_cost(&distsim::CostModel::task_flops);  // flop-true bottom levels
       stats = ex.run(graph);
       break;

@@ -22,7 +22,6 @@
 #include "geometry/cluster_tree.hpp"
 #include "kernels/kernel_matrix.hpp"
 #include "kernels/kernels.hpp"
-#include "runtime/fork_join_executor.hpp"
 #include "runtime/thread_pool_executor.hpp"
 #include "ulv/hss_ulv_tasks.hpp"
 
@@ -71,7 +70,7 @@ int main(int argc, char** argv) {
   std::vector<double> b = rng.normal_vector(n);
   auto x_ref = f_seq.solve(b);
 
-  auto run_with = [&](const char* name, auto&& executor) {
+  auto run_with = [&](const char* name, rt::ThreadPoolExecutor& executor) {
     if (verify) executor.set_verify_dag(true);
     rt::TaskGraph graph;
     auto dag = ulv::emit_hss_ulv_dag(h, graph, /*with_work=*/true);
@@ -111,7 +110,7 @@ int main(int argc, char** argv) {
     run_with("async-dtd", ex);
   }
   {
-    rt::ForkJoinExecutor ex(workers);
+    rt::ThreadPoolExecutor ex(workers, rt::Schedule::Phased);
     run_with("fork-join", ex);
   }
 

@@ -109,28 +109,4 @@ double ClusterTree::diameter(int level, index_t i) const {
   return std::sqrt(s);
 }
 
-double ClusterTree::box_distance(int level, index_t i, index_t j) const {
-  const ClusterNode& a = node(level, i);
-  const ClusterNode& b = node(level, j);
-  if (a.size() == 0 || b.size() == 0) return 0.0;
-  Box ba = bounding_box(points_, a.begin, a.end);
-  Box bb = bounding_box(points_, b.begin, b.end);
-  double s = 0.0;
-  for (std::size_t d = 0; d < 3; ++d) {
-    const double gap = std::max({0.0, ba.lo[d] - bb.hi[d], bb.lo[d] - ba.hi[d]});
-    s += gap * gap;
-  }
-  return std::sqrt(s);
-}
-
-bool weakly_admissible(index_t i, index_t j) { return i != j; }
-
-bool strongly_admissible(const ClusterTree& tree, int level, index_t i, index_t j,
-                         double eta) {
-  if (i == j) return false;
-  const double d = tree.box_distance(level, i, j);
-  const double diam = std::min(tree.diameter(level, i), tree.diameter(level, j));
-  return diam <= eta * d;
-}
-
 }  // namespace hatrix::geom

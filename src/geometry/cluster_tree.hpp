@@ -53,23 +53,11 @@ class ClusterTree {
   /// via the bounding box diagonal).
   [[nodiscard]] double diameter(int level, index_t i) const;
 
-  /// Distance between the bounding boxes of two nodes (0 if they overlap).
-  [[nodiscard]] double box_distance(int level, index_t i, index_t j) const;
-
  private:
   int max_level_ = 0;
   std::vector<std::vector<ClusterNode>> levels_;  // levels_[l][i]
   std::vector<Point> points_;
   std::vector<index_t> perm_;
 };
-
-/// Weak admissibility: a block (i, j) at a level is admissible iff i != j.
-/// This is the condition HSS uses (dense blocks only on the diagonal).
-bool weakly_admissible(index_t i, index_t j);
-
-/// Strong admissibility for completeness (H/H² formats; used by the strong
-/// BLR2 extension): min(diam_i, diam_j) <= eta * dist(box_i, box_j).
-bool strongly_admissible(const ClusterTree& tree, int level, index_t i, index_t j,
-                         double eta);
 
 }  // namespace hatrix::geom

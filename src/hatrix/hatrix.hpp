@@ -46,7 +46,6 @@
 #include "lowrank/compress.hpp"
 #include "lowrank/lowrank.hpp"
 #include "lowrank/rsvd.hpp"
-#include "runtime/fork_join_executor.hpp"
 #include "runtime/task_graph.hpp"
 #include "runtime/thread_pool_executor.hpp"
 #include "runtime/trace.hpp"

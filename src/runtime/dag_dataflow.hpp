@@ -17,7 +17,7 @@
 ///     them a static peak-resident-bytes bound: exact along the serial
 ///     insertion order, plus a bound valid for *any* edge-consistent
 ///     schedule (via the same ancestor bitsets the race check uses);
-///  3. a last-use release schedule (ReleasePlan) the executors consume via
+///  3. a last-use release schedule (ReleasePlan) the executor consumes via
 ///     TaskGraph::set_release_hook, so emitters can free retired blocks at
 ///     their statically-proven last use instead of at teardown;
 ///  4. under a distsim mapping, per-rank footprint and cross-rank traffic

@@ -33,10 +33,10 @@
 
 namespace hatrix::rt {
 
-/// Per-task cost callback for weighted critical-path statistics and
-/// priority derivation. Returns the (relative) cost of one task — flops,
-/// seconds, any consistent unit. The runtime layer deliberately has no
-/// opinion on the unit; distsim::CostModel::task_flops is the flop-true
+/// Per-task cost callback for weighted critical-path statistics and the
+/// ready key of Schedule::CriticalPath (ThreadPoolExecutor::set_cost).
+/// Returns the (relative) cost of one task — flops, seconds, any consistent
+/// unit. The runtime layer deliberately has no opinion on the unit; distsim::CostModel::task_flops is the flop-true
 /// implementation the benches plug in.
 using TaskCostFn = std::function<double(const Task&)>;
 
@@ -99,7 +99,7 @@ std::vector<double> bottom_levels(const TaskGraph& graph, const TaskCostFn& cost
 /// Cost-weighted critical path: the largest bottom level, i.e. the cost of
 /// the most expensive dependency chain. Generalizes
 /// TaskGraph::critical_path_length() (the cost==1 special case) through the
-/// same per-task cost hook the priority scheduler uses.
+/// same per-task cost hook Schedule::CriticalPath uses.
 double weighted_critical_path(const TaskGraph& graph, const TaskCostFn& cost);
 
 /// Default verify-before-run policy for executors: the HATRIX_VERIFY_DAG

@@ -73,7 +73,8 @@ struct Task {
   std::function<void()> work;  ///< actual computation; may be empty (DES-only)
   std::vector<TaskAccess> accesses;  ///< data touched, in declaration order
   int priority = 0;  ///< larger runs earlier among ready tasks
-  int phase = 0;     ///< fork-join phase (HSS level, tile-Cholesky step)
+  int phase = 0;     ///< barrier group under Schedule::Phased (HSS level,
+                     ///< tile-Cholesky step)
 };
 
 /// DAG built by sequential task insertion, PaRSEC-DTD style.
@@ -96,9 +97,10 @@ class TaskGraph {
   /// store and it is never counted as released.
   void mark_output(DataId d);
 
-  /// Install the release hook executors fire at each handle's last use (see
-  /// ReleaseHook). Emitters that can free retired blocks early set this;
-  /// executors consume the dag_dataflow release schedule iff it is set.
+  /// Install the release hook the executor fires at each handle's last use
+  /// (see ReleaseHook). Emitters that can free retired blocks early set
+  /// this; the executor consumes the dag_dataflow release schedule iff it
+  /// is set.
   void set_release_hook(ReleaseHook hook) { release_hook_ = std::move(hook); }
   /// The installed release hook (empty when early release is off).
   [[nodiscard]] const ReleaseHook& release_hook() const { return release_hook_; }

@@ -2,7 +2,7 @@
 /// \file trace.hpp
 /// \brief Execution traces and the compute/overhead breakdown of Fig. 10.
 ///
-/// Both executors record one record per task (who ran it, when). The
+/// The executor records one record per task (who ran it, when). The
 /// aggregate statistics reproduce the paper's instrumentation: "COMPUTE TASK
 /// TIME" is per-worker time inside task bodies; "RUNTIME OVERHEAD" is
 /// everything else the worker spent while the executor was live (scheduling,
@@ -36,16 +36,15 @@ struct ExecutionStats {
   std::vector<TaskTrace> traces;     ///< one record per executed task
 
   /// Time all workers spent on task discovery and ready-queue management:
-  /// popping/stealing ready tasks, releasing dependents when a task
-  /// finishes, (fork-join) re-deriving the per-phase sub-graphs, and
-  /// (priority) computing the cost-weighted bottom levels. This is the
-  /// measured shared-memory analogue of the paper's DTD discovery overhead
-  /// (Sec. 5.3.3); it deliberately excludes idle waiting, which
-  /// overhead_total already accounts for.
+  /// the up-front schedule setup (ready keys — under CriticalPath the
+  /// cost-weighted bottom levels — phase ranks, source seeding),
+  /// popping/stealing ready tasks, and releasing dependents when a task
+  /// finishes. This is the measured shared-memory analogue of the paper's
+  /// DTD discovery overhead (Sec. 5.3.3); it deliberately excludes idle
+  /// waiting, which overhead_total already accounts for.
   double discovery_total = 0.0;
-  /// Per-worker slice of discovery_total (size == workers). The fork-join
-  /// executor charges its per-phase sub-graph re-derivation to worker 0,
-  /// the coordinating thread that performs it.
+  /// Per-worker slice of discovery_total (size == workers). The up-front
+  /// schedule setup is charged to worker 0; the calling thread performs it.
   std::vector<double> worker_discovery;
 
   /// Average per-worker compute time (the paper's "COMPUTE TASK TIME").

@@ -11,7 +11,7 @@
 ///
 /// Dependencies only flow through the merge step (Sec. 4.2): within a level
 /// everything is embarrassingly parallel, which is what the asynchronous
-/// executor exploits and the fork-join executor (phase = L - l) deliberately
+/// schedules exploit and the Phased schedule (phase = L - l) deliberately
 /// serializes at level boundaries.
 
 #include <memory>

@@ -28,8 +28,6 @@
 #include "kernels/kernel_matrix.hpp"
 #include "kernels/kernels.hpp"
 #include "runtime/dag_dataflow.hpp"
-#include "runtime/fork_join_executor.hpp"
-#include "runtime/priority_executor.hpp"
 #include "runtime/thread_pool_executor.hpp"
 #include "ulv/blr2_ulv_tasks.hpp"
 #include "ulv/hss_solve_tasks.hpp"
@@ -297,12 +295,12 @@ TEST(DagDataflow, ReleaseHookFiresExactlyOncePerHandleOnAllExecutors) {
         break;
       }
       case 1: {
-        rt::PriorityExecutor ex(3);
+        rt::ThreadPoolExecutor ex(3, rt::Schedule::CriticalPath);
         ex.run(g);
         break;
       }
       default: {
-        rt::ForkJoinExecutor ex(3);
+        rt::ThreadPoolExecutor ex(3, rt::Schedule::Phased);
         ex.run(g);
         break;
       }

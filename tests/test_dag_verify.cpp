@@ -19,7 +19,6 @@
 #include "kernels/kernel_matrix.hpp"
 #include "kernels/kernels.hpp"
 #include "runtime/dag_verify.hpp"
-#include "runtime/fork_join_executor.hpp"
 #include "runtime/thread_pool_executor.hpp"
 #include "ulv/hss_solve_tasks.hpp"
 #include "ulv/hss_ulv_tasks.hpp"
@@ -328,7 +327,7 @@ TEST(DagVerifyExecutors, VerifyingExecutorRefusesRacyGraphBeforeAnyWork) {
   EXPECT_THROW(pool.run(g, &err), rt::DagRaceError);
   EXPECT_EQ(ran.load(), 0);
 
-  rt::ForkJoinExecutor fj(2);
+  rt::ThreadPoolExecutor fj(2, rt::Schedule::Phased);
   fj.set_verify_dag(true);
   EXPECT_THROW(fj.run(g), rt::DagRaceError);
   EXPECT_EQ(ran.load(), 0);

@@ -21,8 +21,6 @@
 #include "kernels/kernel_matrix.hpp"
 #include "kernels/kernels.hpp"
 #include "linalg/matrix.hpp"
-#include "runtime/fork_join_executor.hpp"
-#include "runtime/priority_executor.hpp"
 #include "runtime/thread_pool_executor.hpp"
 #include "runtime/trace.hpp"
 #include "ulv/hss_solve_tasks.hpp"
@@ -44,24 +42,14 @@ const char* exec_name(Exec e) {
   }
 }
 
-/// Run `graph` through the selected executor with the uniform
-/// run(graph, error_out) contract all three now share.
+/// Run `graph` under the selected schedule with the uniform
+/// run(graph, error_out) contract all three share.
 rt::ExecutionStats run_any(Exec e, int workers, const rt::TaskGraph& graph,
                            std::exception_ptr* error_out = nullptr) {
-  switch (e) {
-    case Exec::ForkJoin: {
-      rt::ForkJoinExecutor ex(workers);
-      return ex.run(graph, error_out);
-    }
-    case Exec::Fifo: {
-      rt::ThreadPoolExecutor ex(workers);
-      return ex.run(graph, error_out);
-    }
-    default: {
-      rt::PriorityExecutor ex(workers);
-      return ex.run(graph, error_out);
-    }
-  }
+  constexpr rt::Schedule kSchedule[] = {rt::Schedule::Phased, rt::Schedule::Fifo,
+                                        rt::Schedule::CriticalPath};
+  rt::ThreadPoolExecutor ex(workers, kSchedule[static_cast<int>(e)]);
+  return ex.run(graph, error_out);
 }
 
 /// Serial reference: execute the closures in insertion (DTD submission)

@@ -15,7 +15,6 @@
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/norms.hpp"
-#include "runtime/fork_join_executor.hpp"
 #include "runtime/thread_pool_executor.hpp"
 #include "ulv/hss_solve_tasks.hpp"
 #include "ulv/hss_ulv.hpp"
@@ -135,7 +134,7 @@ TEST(SolveDag, ForkJoinExecutorWorksToo) {
   auto x_ref = f.solve(b);
   rt::TaskGraph graph;
   auto dag = ulv::emit_hss_solve_dag(f, b, graph);
-  rt::ForkJoinExecutor ex(2);
+  rt::ThreadPoolExecutor ex(2, rt::Schedule::Phased);
   (void)ex.run(graph);
   EXPECT_LT(vec_rel_err(x_ref, dag.state->x_col()), 1e-14);
 }

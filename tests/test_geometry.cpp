@@ -1,4 +1,4 @@
-// Tests for domains, the cluster tree, and admissibility predicates.
+// Tests for domains and the cluster tree.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -148,37 +148,6 @@ TEST(ClusterTree, BisectionSeparatesSpace) {
   const double diam0 = tree.diameter(1, 0);
   const double root_diam = tree.diameter(0, 0);
   EXPECT_LT(diam0, root_diam);
-}
-
-TEST(ClusterTree, BoxDistanceZeroForSelf) {
-  Domain d = grid2d(64);
-  ClusterTree tree(d, 16);
-  EXPECT_EQ(tree.box_distance(2, 1, 1), 0.0);
-}
-
-TEST(Admissibility, WeakIsOffDiagonal) {
-  EXPECT_TRUE(weakly_admissible(0, 1));
-  EXPECT_FALSE(weakly_admissible(2, 2));
-}
-
-TEST(Admissibility, StrongRequiresSeparation) {
-  Domain d = grid2d(256);
-  ClusterTree tree(d, 16);
-  const int L = tree.max_level();
-  // A node is never strongly admissible with itself.
-  EXPECT_FALSE(strongly_admissible(tree, L, 3, 3, 1.0));
-  // Far-apart leaves on a grid should be strongly admissible at eta = 1:
-  // find the pair with the largest box distance.
-  index_t bi = 0, bj = 1;
-  double best = -1.0;
-  for (index_t i = 0; i < tree.num_nodes(L); ++i)
-    for (index_t j = 0; j < tree.num_nodes(L); ++j)
-      if (tree.box_distance(L, i, j) > best) {
-        best = tree.box_distance(L, i, j);
-        bi = i;
-        bj = j;
-      }
-  EXPECT_TRUE(strongly_admissible(tree, L, bi, bj, 1.0));
 }
 
 TEST(ClusterTree, SingleNodeTreeWhenLeafCoversAll) {

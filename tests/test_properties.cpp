@@ -13,7 +13,6 @@
 #include "kernels/kernels.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/norms.hpp"
-#include "runtime/fork_join_executor.hpp"
 #include "runtime/thread_pool_executor.hpp"
 #include "ulv/hss_ulv.hpp"
 
@@ -106,7 +105,7 @@ TEST(ExecutorFuzz, ForkJoinAgreesWithAsyncOnPhasedGraphs) {
         fj_result = fj_result * 31 + static_cast<unsigned long>(v);
       };
       auto g = build(sink);
-      rt::ForkJoinExecutor ex(3);
+      rt::ThreadPoolExecutor ex(3, rt::Schedule::Phased);
       (void)ex.run(g);
     }
     // A single RW chain fully serializes both executors: identical order.

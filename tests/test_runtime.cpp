@@ -1,5 +1,5 @@
-// Tests for the DTD task graph (dependency inference), the asynchronous,
-// fork-join and priority executors, and trace validation.
+// Tests for the DTD task graph (dependency inference), the executor under
+// its Fifo, Phased and CriticalPath schedules, and trace validation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,8 +8,6 @@
 #include <thread>
 
 #include "runtime/dag_verify.hpp"
-#include "runtime/fork_join_executor.hpp"
-#include "runtime/priority_executor.hpp"
 #include "runtime/task_graph.hpp"
 #include "runtime/thread_pool_executor.hpp"
 #include "runtime/trace.hpp"
@@ -249,10 +247,38 @@ TEST(ForkJoinExecutor, BarrierBetweenPhases) {
     t.phase = 1;
     g.insert_task(std::move(t));
   }
-  ForkJoinExecutor ex(4);
+  ThreadPoolExecutor ex(4, Schedule::Phased);
   auto stats = ex.run(g);
   EXPECT_FALSE(violated.load());
   EXPECT_EQ(validate_trace(g, stats), "");
+
+  // Independent tasks whose phases arrive out of order, non-contiguous and
+  // partly negative: the barriers follow the phase values, not insertion
+  // order, so every task starts no earlier than every lower-phase task ended.
+  const int phases[] = {7, -2, 3, -2, 7, 3, 7, -2, 3, 7};
+  for (int workers : {1, 4}) {
+    TaskGraph h;
+    for (int p : phases) {
+      DataId d = h.register_data("c" + std::to_string(h.num_tasks()));
+      Task t;
+      t.name = "q" + std::to_string(p);
+      t.kind = "k";
+      t.work = [] { std::this_thread::sleep_for(std::chrono::microseconds(200)); };
+      t.accesses = {{d, Access::ReadWrite}};
+      t.phase = p;
+      h.insert_task(std::move(t));
+    }
+    ThreadPoolExecutor phased(workers, Schedule::Phased);
+    auto hs = phased.run(h);
+    ASSERT_EQ(validate_trace(h, hs), "") << workers;
+    for (const Task& a : h.tasks())
+      for (const Task& b : h.tasks())
+        if (a.phase < b.phase) {
+          EXPECT_GE(hs.traces[static_cast<std::size_t>(b.id)].start,
+                    hs.traces[static_cast<std::size_t>(a.id)].end)
+              << a.name << " -> " << b.name << " at " << workers << " workers";
+        }
+  }
 }
 
 TEST(ForkJoinExecutor, RejectsBackwardPhaseEdges) {
@@ -270,7 +296,7 @@ TEST(ForkJoinExecutor, RejectsBackwardPhaseEdges) {
   t2.accesses = {{d, Access::Read}};  // depends on phase-1 task
   t2.phase = 0;
   g.insert_task(std::move(t2));
-  ForkJoinExecutor ex(1);
+  ThreadPoolExecutor ex(1, Schedule::Phased);
   EXPECT_THROW((void)ex.run(g), Error);
 }
 
@@ -328,7 +354,7 @@ TEST(PriorityExecutor, RunsOrderSensitiveChain) {
     g.insert_task("mul_add" + std::to_string(i), "k", {},
                   [value, i] { value->store(value->load() * 2 + i); },
                   {{d, Access::ReadWrite}});
-  PriorityExecutor ex(4);
+  ThreadPoolExecutor ex(4, Schedule::CriticalPath);
   auto stats = ex.run(g);
   long ref = 0;
   for (int i = 1; i <= 20; ++i) ref = ref * 2 + i;
@@ -353,7 +379,7 @@ TEST(PriorityExecutor, SingleWorkerDrainsByBottomLevel) {
                 {{heavy, Access::ReadWrite}});
   g.insert_task("light1", "k", {2}, [&, log] { log(11); },
                 {{light, Access::ReadWrite}});
-  PriorityExecutor ex(1);
+  ThreadPoolExecutor ex(1, Schedule::CriticalPath);
   (void)ex.run(g);
   ASSERT_EQ(order.size(), 4u);
   EXPECT_EQ(order[0], 0);
@@ -373,7 +399,7 @@ TEST(PriorityExecutor, CostHookOverridesDefault) {
                 {{a, Access::ReadWrite}});
   g.insert_task("b0", "big", {1}, [&, log] { log(1); },
                 {{b, Access::ReadWrite}});
-  PriorityExecutor ex(1);
+  ThreadPoolExecutor ex(1, Schedule::CriticalPath);
   ex.set_cost([](const Task& t) { return t.kind == "big" ? 1e6 : 1.0; });
   (void)ex.run(g);
   ASSERT_EQ(order.size(), 2u);
@@ -389,7 +415,7 @@ TEST(PriorityExecutor, PropagatesTaskExceptionsWithEndStamp) {
                   throw Error("boom");
                 },
                 {{d, Access::ReadWrite}});
-  PriorityExecutor ex(2);
+  ThreadPoolExecutor ex(2, Schedule::CriticalPath);
   std::exception_ptr err;
   auto stats = ex.run(g, &err);
   ASSERT_TRUE(err != nullptr);
@@ -405,7 +431,7 @@ TEST(PriorityExecutor, VerifyDagGateRejectsRacyGraph) {
   TaskId w1 = g.insert_task("w1", "k", {}, [] {}, {{d, Access::ReadWrite}});
   TaskId w2 = g.insert_task("w2", "k", {}, [] {}, {{d, Access::ReadWrite}});
   ASSERT_TRUE(g.drop_dependency_for_test(w1, w2));
-  PriorityExecutor ex(2);
+  ThreadPoolExecutor ex(2, Schedule::CriticalPath);
   ex.set_verify_dag(true);
   EXPECT_THROW((void)ex.run(g), DagRaceError);
   // With the gate off the (racy but acyclic) graph still executes.
@@ -445,13 +471,13 @@ TEST(Stats, DiscoveryTimerWithinBoundsOnAllExecutors) {
   {
     TaskGraph g;
     make(g);
-    ForkJoinExecutor ex(2);
+    ThreadPoolExecutor ex(2, Schedule::Phased);
     check(g, ex.run(g), 2);
   }
   {
     TaskGraph g;
     make(g);
-    PriorityExecutor ex(2);
+    ThreadPoolExecutor ex(2, Schedule::CriticalPath);
     check(g, ex.run(g), 2);
   }
 }

@@ -26,8 +26,6 @@
 #include "common/rng.hpp"
 #include "runtime/dag_dataflow.hpp"
 #include "runtime/dag_verify.hpp"
-#include "runtime/fork_join_executor.hpp"
-#include "runtime/priority_executor.hpp"
 #include "runtime/thread_pool_executor.hpp"
 #include "runtime/trace.hpp"
 
@@ -136,7 +134,7 @@ TEST_P(SchedulerStress, ForkJoinRandomDags) {
     ExecutionLog log(sh.num_tasks);
     build_random_dag(sh, g, log);
     ASSERT_NO_THROW((void)verify_dag(g)) << "seed " << sh.seed;
-    ForkJoinExecutor ex(workers());
+    ThreadPoolExecutor ex(workers(), Schedule::Phased);
     auto stats = ex.run(g);
     ASSERT_EQ(validate_trace(g, stats), "") << "seed " << sh.seed;
     check_order(g, log, "forkjoin seed " + std::to_string(sh.seed));
@@ -162,7 +160,7 @@ TEST_P(SchedulerStress, PriorityRandomDags) {
     ExecutionLog log(sh.num_tasks);
     build_random_dag(sh, g, log);
     ASSERT_NO_THROW((void)verify_dag(g)) << "seed " << sh.seed;
-    PriorityExecutor ex(workers());
+    ThreadPoolExecutor ex(workers(), Schedule::CriticalPath);
     auto stats = ex.run(g);
     ASSERT_EQ(validate_trace(g, stats), "") << "seed " << sh.seed;
     check_order(g, log, "priority seed " + std::to_string(sh.seed));
@@ -180,7 +178,7 @@ TEST_P(SchedulerStress, PriorityWithCostHookStillHonorsDependencies) {
   TaskGraph g;
   ExecutionLog log(sh.num_tasks);
   build_random_dag(sh, g, log);
-  PriorityExecutor ex(workers());
+  ThreadPoolExecutor ex(workers(), Schedule::CriticalPath);
   ex.set_cost([](const Task& t) { return static_cast<double>(t.id * t.id); });
   auto stats = ex.run(g);
   ASSERT_EQ(validate_trace(g, stats), "");
@@ -281,7 +279,7 @@ TEST(SchedulerStressRepeats, PriorityManySeedsAtEightWorkers) {
     TaskGraph g;
     ExecutionLog log(sh.num_tasks);
     build_random_dag(sh, g, log);
-    PriorityExecutor ex(8);
+    ThreadPoolExecutor ex(8, Schedule::CriticalPath);
     auto stats = ex.run(g);
     ASSERT_EQ(validate_trace(g, stats), "") << "seed " << seed;
     check_order(g, log, "priority seed " + std::to_string(seed));

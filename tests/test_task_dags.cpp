@@ -15,7 +15,6 @@
 #include "kernels/kernel_matrix.hpp"
 #include "kernels/kernels.hpp"
 #include "linalg/norms.hpp"
-#include "runtime/fork_join_executor.hpp"
 #include "runtime/thread_pool_executor.hpp"
 #include "ulv/blr2_ulv_tasks.hpp"
 #include "ulv/hss_ulv_tasks.hpp"
@@ -81,7 +80,7 @@ TEST(HssUlvDag, ForkJoinExecutorSameResult) {
 
   rt::TaskGraph graph;
   auto dag = ulv::emit_hss_ulv_dag(h, graph, true);
-  rt::ForkJoinExecutor ex(2);
+  rt::ThreadPoolExecutor ex(2, rt::Schedule::Phased);
   auto stats = ex.run(graph);
   EXPECT_EQ(rt::validate_trace(graph, stats), "");
   auto f_tasks = ulv::extract_factorization(dag);
