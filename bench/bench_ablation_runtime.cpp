@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
     fmt::KernelAccessor acc(km);
     fmt::HSSOptions opts{.leaf_size = m_leaf, .max_rank = m_rank, .tol = 0.0,
                          .sample_cols = m_sample};
-    auto h = fmt::build_hss_parallel(acc, opts, workers);
+    auto h = fmt::build_hss(acc, opts, workers);
 
     for (int which = 0; which < 3; ++which) {
       MeasuredRun best;
@@ -327,7 +327,7 @@ int main(int argc, char** argv) {
       const rt::ReleaseMode mode =
           pass == 0 ? rt::ReleaseMode::None : rt::ReleaseMode::Free;
       la::reset_matrix_peak();
-      auto h = fmt::build_hss_parallel(acc, opts, workers, nullptr, mode);
+      auto h = fmt::build_hss(acc, opts, workers, nullptr, mode);
       const std::int64_t build_peak = la::matrix_bytes_peak();
 
       la::reset_matrix_peak();
@@ -387,8 +387,8 @@ int main(int argc, char** argv) {
     fmt::HSSOptions omx = o64;
     omx.precision = fmt::PrecisionMode::MixedFP32;
 
-    auto h64 = fmt::build_hss_parallel(acc, o64, workers);
-    auto hmx = fmt::build_hss_parallel(acc, omx, workers);
+    auto h64 = fmt::build_hss(acc, o64, workers);
+    auto hmx = fmt::build_hss(acc, omx, workers);
     auto f64 = ulv::HSSULV::factorize(h64);
     auto fmx = ulv::HSSULV::factorize(hmx);
 

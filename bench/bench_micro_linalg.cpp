@@ -93,44 +93,11 @@ int main(int argc, char** argv) {
     }));
   }
 
-  // FP32 gemm: the storage precision of mixed-mode low-rank blocks. Twice
-  // the lanes per vector register, so the target is ~2x the FP64 rate.
-  for (la::index_t n : {64, 256}) {
-    Rng rng(8);
-    Matrix ad = Matrix::random_normal(rng, n, n);
-    Matrix bd = Matrix::random_normal(rng, n, n);
-    la::MatrixF a(n, n), b(n, n), c(n, n);
-    for (la::index_t j = 0; j < n; ++j)
-      for (la::index_t i = 0; i < n; ++i) {
-        a(i, j) = static_cast<float>(ad(i, j));
-        b(i, j) = static_cast<float>(bd(i, j));
-      }
-    cases.push_back(timed("gemm_f32", n, 2.0 * n * n * n, min_time, [&] {
-      la::gemm(1.0F, a.view(), la::Trans::No, b.view(), la::Trans::No, 0.0F,
-               c.view());
-    }));
-  }
-
   for (la::index_t n : {64, 128, 256, 512}) {
     Rng rng(2);
     Matrix a = Matrix::random_spd(rng, n);
     cases.push_back(timed("potrf", n, n * n * n / 3.0, min_time, [&] {
       Matrix work = Matrix::from_view(a.view());
-      la::potrf(work.view());
-    }));
-  }
-
-  {
-    const la::index_t n = 256;
-    Rng rng(9);
-    Matrix ad = Matrix::random_spd(rng, n);
-    la::MatrixF a(n, n);
-    for (la::index_t j = 0; j < n; ++j)
-      for (la::index_t i = 0; i < n; ++i) a(i, j) = static_cast<float>(ad(i, j));
-    la::MatrixF work(n, n);
-    cases.push_back(timed("potrf_f32", n, n * n * n / 3.0, min_time, [&] {
-      for (la::index_t j = 0; j < n; ++j)
-        for (la::index_t i = 0; i < n; ++i) work(i, j) = a(i, j);
       la::potrf(work.view());
     }));
   }

@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
     auto op = cache.get_or_build(key, [&](fmt::HSSBuildReport& rep) {
       kernels::KernelMatrix km(cov, tree.points(), nug);
       fmt::KernelAccessor acc(km);
-      return fmt::build_hss_parallel(acc, opts, workers, &rep);
+      return fmt::build_hss(acc, opts, workers, &rep);
     });
     const double fit_seconds = timer.seconds();
     const bool was_hit = cache.stats().misses == misses_before;

@@ -2,12 +2,16 @@
 
 #include <algorithm>
 
-#include "blrchol/tile_cholesky.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "lowrank/compress.hpp"
 
 namespace hatrix::blrchol {
+
+index_t num_tiles(index_t n, index_t tile) {
+  HATRIX_CHECK(n > 0 && tile > 0, "bad tile parameters");
+  return (n + tile - 1) / tile;
+}
 
 BLRCholDag emit_blr_cholesky_dag(const BLRMatrix& a, rt::TaskGraph& graph,
                                  bool with_work, const BLRCholOptions& opts) {

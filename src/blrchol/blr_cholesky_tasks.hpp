@@ -29,6 +29,9 @@ struct BLRCholDag {
 BLRCholDag emit_blr_cholesky_dag(const BLRMatrix& a, rt::TaskGraph& graph,
                                  bool with_work, const BLRCholOptions& opts = {});
 
+/// Number of `tile`-sized tiles covering n rows (the last may be smaller).
+la::index_t num_tiles(la::index_t n, la::index_t tile);
+
 /// Emitted dense tile Cholesky DAG (DPLASMA baseline / Fig. 6).
 struct DenseCholDag {
   std::shared_ptr<la::Matrix> state;

@@ -66,13 +66,6 @@ struct HSSOptions {
   /// without passing the guard throws BasisUnderResolvedError instead of
   /// silently producing an under-resolved basis.
   index_t max_sample_cols = 0;
-  /// Geometric growth factor applied to the column sample each time the
-  /// guard's probe fails (must be > 1).
-  double sample_growth = 2.0;
-  /// Probe columns drawn per guard check. Half are taken adjacent to the
-  /// node's index interval (tree order preserves spatial locality, so these
-  /// catch missed near-range interactions), half uniformly at random.
-  index_t guard_probe_cols = 32;
   /// Let the guard raise a node's rank cap past max_rank when the probe
   /// residual is pinned at the rank-truncation floor rather than limited by
   /// sample coverage. Without the escape, a node whose required rank exceeds

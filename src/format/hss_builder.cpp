@@ -115,13 +115,12 @@ int hss_levels(index_t n, index_t leaf_size) {
   return levels;
 }
 
-HSSMatrix build_hss(const BlockAccessor& acc, const HSSOptions& opts) {
-  // The sequential build is the construction task graph on one worker, so
-  // it is the exact same per-node code — and produces the exact same
-  // matrix — as the parallel executors.
+HSSMatrix build_hss(const BlockAccessor& acc, const HSSOptions& opts, int workers,
+                    HSSBuildReport* report, rt::ReleaseMode release) {
   rt::TaskGraph graph;
-  HSSBuildDag dag = emit_hss_build_dag(acc, opts, graph);
-  rt::ThreadPoolExecutor(1).run(graph);
+  HSSBuildDag dag = emit_hss_build_dag(acc, opts, graph, release);
+  rt::ThreadPoolExecutor(workers).run(graph);
+  if (report != nullptr) *report = build_report(dag);
   HSSMatrix h = extract_built_hss(dag);
   // Construction is pure FP64 regardless of precision mode (executor
   // bit-identity); the one-shot demotion happens on the settled matrix.

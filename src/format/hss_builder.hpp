@@ -22,14 +22,14 @@
 /// (HSSOptions::guard_tol): each node's interpolation is validated on fresh
 /// probe columns and the sample grows until the probe passes — see
 /// hss_builder_tasks.hpp, which also exposes the construction as a task
-/// graph for parallel execution. build_hss here is the sequential driver
-/// over the same per-node tasks.
+/// graph for parallel execution. build_hss here runs that graph.
 
 #include <memory>
 
 #include "common/error.hpp"
 #include "format/accessor.hpp"
 #include "format/hss.hpp"
+#include "runtime/dag_dataflow.hpp"
 
 namespace hatrix::fmt {
 
@@ -68,11 +68,24 @@ int hss_levels(index_t n, index_t leaf_size);
 /// `h` must already be sized (HSSMatrix(n, levels)).
 void assign_hss_intervals(HSSMatrix& h);
 
-/// Build a symmetric HSS approximation of the matrix behind `acc`
-/// sequentially: the construction DAG run on one worker. Numerically identical to build_hss_parallel (per-node
-/// deterministic sampling streams); throws BasisUnderResolvedError under
-/// the conditions documented there.
-HSSMatrix build_hss(const BlockAccessor& acc, const HSSOptions& opts);
+/// Aggregate evidence from the accuracy guard over a finished build.
+struct HSSBuildReport {
+  index_t max_samples = 0;      ///< largest per-node column sample used
+  index_t total_growths = 0;    ///< guard growth rounds over all nodes
+  double worst_residual = 0.0;  ///< largest accepted probe residual
+  index_t rank_escapes = 0;     ///< rank-cap escalations past max_rank
+};
+
+/// Build a symmetric HSS approximation of the matrix behind `acc`: emit the
+/// construction DAG (hss_builder_tasks.hpp) and run it on a
+/// ThreadPoolExecutor with `workers` threads. Per-node deterministic
+/// sampling streams make the result bit-identical for every worker count.
+/// `report`, when non-null, receives the guard statistics; `release`
+/// forwards to emit_hss_build_dag. Throws BasisUnderResolvedError under the
+/// conditions documented above.
+HSSMatrix build_hss(const BlockAccessor& acc, const HSSOptions& opts, int workers = 1,
+                    HSSBuildReport* report = nullptr,
+                    rt::ReleaseMode release = rt::ReleaseMode::None);
 
 /// Structure-only HSS "skeleton": index intervals and ranks are assigned
 /// (uniform `rank`, clipped by block sizes) but no numerical data is

@@ -13,11 +13,18 @@
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
 #include "lowrank/adaptive.hpp"
-#include "runtime/thread_pool_executor.hpp"
 
 namespace hatrix::fmt {
 
 namespace {
+
+/// Geometric growth factor applied to a node's column sample each time the
+/// guard's probe fails.
+constexpr double kSampleGrowth = 2.0;
+/// Probe columns drawn per guard check. Half are taken adjacent to the
+/// node's index interval (tree order preserves spatial locality, so these
+/// catch missed near-range interactions), half uniformly at random.
+constexpr index_t kGuardProbeCols = 32;
 
 /// Row interpolative decomposition: F ≈ X · F(sel, :) with X(sel, :) = I.
 struct RowId {
@@ -221,10 +228,9 @@ Guarded guarded_row_id(const BlockAccessor& acc, const std::vector<index_t>& row
     // Fresh probe columns: half adjacent to the node's interval (tree order
     // preserves locality, so these expose missed near-range interactions),
     // half uniform over the unseen complement.
-    const index_t want = std::max<index_t>(opts.guard_probe_cols, 4);
-    std::vector<index_t> probe = sampler.draw_adjacent(want / 2);
+    std::vector<index_t> probe = sampler.draw_adjacent(kGuardProbeCols / 2);
     std::vector<index_t> extra =
-        sampler.draw_random(want - static_cast<index_t>(probe.size()));
+        sampler.draw_random(kGuardProbeCols - static_cast<index_t>(probe.size()));
     probe.insert(probe.end(), extra.begin(), extra.end());
     if (probe.empty()) {  // complement fully consumed: exact
       out.residual = 0.0;
@@ -267,7 +273,7 @@ Guarded guarded_row_id(const BlockAccessor& acc, const std::vector<index_t>& row
     ++out.growths;
     f = la::hconcat({f.view(), p.view()});
     const auto target = static_cast<index_t>(
-        std::llround(opts.sample_growth * static_cast<double>(out.samples)));
+        std::llround(kSampleGrowth * static_cast<double>(out.samples)));
     const index_t top_up = std::min(cap, target) - f.cols();
     if (top_up > 0) {
       auto more = sampler.draw_random(top_up);
@@ -543,21 +549,6 @@ HSSBuildReport build_report(const HSSBuildDag& dag) {
     }
   }
   return rep;
-}
-
-HSSMatrix build_hss_parallel(const BlockAccessor& acc, const HSSOptions& opts,
-                             int workers, HSSBuildReport* report,
-                             rt::ReleaseMode release) {
-  rt::TaskGraph graph;
-  HSSBuildDag dag = emit_hss_build_dag(acc, opts, graph, release);
-  rt::ThreadPoolExecutor ex(workers);
-  ex.run(graph);
-  if (report != nullptr) *report = build_report(dag);
-  HSSMatrix h = extract_built_hss(dag);
-  // Demote after extraction, exactly as the sequential builder does, so both
-  // paths produce bit-identical (demoted) matrices.
-  if (opts.precision == PrecisionMode::MixedFP32) h.demote_lowrank();
-  return h;
 }
 
 }  // namespace hatrix::fmt

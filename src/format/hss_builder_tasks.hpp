@@ -64,16 +64,8 @@ struct HSSBuildDag {
   std::vector<std::vector<rt::DataId>> coupling_data;  ///< [level][pair] handles
 };
 
-/// Aggregate evidence from the accuracy guard over a finished build.
-struct HSSBuildReport {
-  index_t max_samples = 0;      ///< largest per-node column sample used
-  index_t total_growths = 0;    ///< guard growth rounds over all nodes
-  double worst_residual = 0.0;  ///< largest accepted probe residual
-  index_t rank_escapes = 0;     ///< rank-cap escalations past max_rank
-};
-
 /// Emit the HSS construction DAG into `graph`. Tasks carry real work
-/// closures; run them through an executor (build_hss uses one worker), then
+/// closures; run them through an executor (as build_hss does), then
 /// call extract_built_hss. Closures may throw
 /// BasisUnderResolvedError (see hss_builder.hpp); executors rethrow it.
 ///
@@ -96,13 +88,5 @@ HSSMatrix extract_built_hss(HSSBuildDag& dag);
 
 /// Guard statistics of a finished build (valid after the DAG executed).
 HSSBuildReport build_report(const HSSBuildDag& dag);
-
-/// Convenience: emit the DAG and run it on a ThreadPoolExecutor with
-/// `workers` threads. Numerically identical to build_hss for any worker
-/// count. `report`, when non-null, receives the guard statistics.
-/// `release` forwards to emit_hss_build_dag.
-HSSMatrix build_hss_parallel(const BlockAccessor& acc, const HSSOptions& opts,
-                             int workers, HSSBuildReport* report = nullptr,
-                             rt::ReleaseMode release = rt::ReleaseMode::None);
 
 }  // namespace hatrix::fmt

@@ -8,7 +8,6 @@
 #include "format/accessor.hpp"
 #include "format/blr.hpp"
 #include "format/hss_builder.hpp"
-#include "format/hss_builder_tasks.hpp"
 #include "geometry/cluster_tree.hpp"
 #include "kernels/kernel_matrix.hpp"
 #include "kernels/kernels.hpp"
@@ -54,9 +53,7 @@ AccuracyOutcome hss_accuracy(const AccuracySetup& setup) {
                              .sample_cols = setup.sample_cols,
                              .seed = setup.seed,
                              .guard_tol = setup.guard_tol};
-  fmt::HSSMatrix h = setup.workers > 1
-                         ? fmt::build_hss_parallel(acc, opts, setup.workers)
-                         : fmt::build_hss(acc, opts);
+  fmt::HSSMatrix h = fmt::build_hss(acc, opts, setup.workers);
   out.build_seconds = timer.seconds();
   out.rank_used = h.max_rank_used();
   out.compressed_bytes = h.memory_bytes();

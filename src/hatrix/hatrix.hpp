@@ -14,7 +14,6 @@
 
 #include "blrchol/blr_cholesky.hpp"
 #include "blrchol/blr_cholesky_tasks.hpp"
-#include "blrchol/tile_cholesky.hpp"
 #include "common/cli.hpp"
 #include "common/flops.hpp"
 #include "common/rng.hpp"
@@ -37,15 +36,12 @@
 #include "kernels/kernels.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
-#include "lowrank/aca.hpp"
 #include "lowrank/compress.hpp"
 #include "lowrank/lowrank.hpp"
-#include "lowrank/rsvd.hpp"
 #include "runtime/task_graph.hpp"
 #include "runtime/thread_pool_executor.hpp"
 #include "runtime/trace.hpp"

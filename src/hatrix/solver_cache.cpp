@@ -45,6 +45,8 @@ std::size_t SolverKeyHash::operator()(const SolverKey& k) const {
   h = mix(h, bits(k.tol));
   h = mix(h, bits(k.guard_tol));
   h = mix(h, static_cast<std::uint64_t>(k.sample_cols));
+  h = mix(h, static_cast<std::uint64_t>(k.max_sample_cols));
+  h = mix(h, static_cast<std::uint64_t>(k.rank_escape));
   h = mix(h, k.seed);
   h = mix(h, std::hash<std::string>{}(k.precision));
   return static_cast<std::size_t>(h);
@@ -62,6 +64,8 @@ SolverKey make_solver_key(const std::string& kernel_id,
                    .tol = opts.tol,
                    .guard_tol = opts.guard_tol,
                    .sample_cols = opts.sample_cols,
+                   .max_sample_cols = opts.max_sample_cols,
+                   .rank_escape = opts.rank_escape,
                    .seed = opts.seed,
                    .precision = fmt::precision_name(opts.precision)};
 }

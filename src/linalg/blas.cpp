@@ -198,27 +198,11 @@ void trsm_entry(Side side, UpLo uplo, Trans trans, Diag diag, T alpha,
   trsm_dispatch<T>(side, uplo, trans, diag, alpha, t, b);
 }
 
-template <class T>
-void trmm_entry(Side side, UpLo uplo, Trans trans, Diag diag, T alpha,
-                ConstMatrixViewT<T> t, MatrixViewT<T> b) {
-  check_tr(side, t, b, "trmm");
-  const index_t n = t.rows;
-  const index_t rhs = side == Side::Left ? b.cols : b.rows;
-  if (alpha != T(0) && n != 0 && rhs != 0)
-    flops::add(static_cast<std::uint64_t>(n) * n * rhs);
-  // trmm is off the hot path: every backend uses the reference loops.
-  detail::trmm_naive<T>(side, uplo, trans, diag, alpha, t, b);
-}
-
 }  // namespace
 
 void gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b, Trans tb,
           double beta, MatrixView c) {
   gemm_entry<double>(alpha, a, ta, b, tb, beta, c);
-}
-void gemm(float alpha, ConstMatrixViewF a, Trans ta, ConstMatrixViewF b, Trans tb,
-          float beta, MatrixViewF c) {
-  gemm_entry<float>(alpha, a, ta, b, tb, beta, c);
 }
 
 Matrix matmul(ConstMatrixView a, ConstMatrixView b, Trans ta, Trans tb) {
@@ -230,26 +214,10 @@ Matrix matmul(ConstMatrixView a, ConstMatrixView b, Trans ta, Trans tb) {
 void syrk(double alpha, ConstMatrixView a, Trans trans, double beta, MatrixView c) {
   syrk_entry<double>(alpha, a, trans, beta, c);
 }
-void syrk(float alpha, ConstMatrixViewF a, Trans trans, float beta, MatrixViewF c) {
-  syrk_entry<float>(alpha, a, trans, beta, c);
-}
 
 void trsm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView t, MatrixView b) {
   trsm_entry<double>(side, uplo, trans, diag, alpha, t, b);
-}
-void trsm(Side side, UpLo uplo, Trans trans, Diag diag, float alpha,
-          ConstMatrixViewF t, MatrixViewF b) {
-  trsm_entry<float>(side, uplo, trans, diag, alpha, t, b);
-}
-
-void trmm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
-          ConstMatrixView t, MatrixView b) {
-  trmm_entry<double>(side, uplo, trans, diag, alpha, t, b);
-}
-void trmm(Side side, UpLo uplo, Trans trans, Diag diag, float alpha,
-          ConstMatrixViewF t, MatrixViewF b) {
-  trmm_entry<float>(side, uplo, trans, diag, alpha, t, b);
 }
 
 void gemv(double alpha, ConstMatrixView a, Trans ta, const double* x, double beta,
@@ -270,7 +238,6 @@ void add_scaled(MatrixView y, double alpha, ConstMatrixView x) {
 }
 
 void scale(MatrixView a, double alpha) { detail::scale_impl<double>(a, alpha); }
-void scale(MatrixViewF a, float alpha) { detail::scale_impl<float>(a, alpha); }
 
 double dot(ConstMatrixView a, ConstMatrixView b) {
   HATRIX_CHECK(a.rows == b.rows && a.cols == b.cols, "dot shape mismatch");
@@ -288,25 +255,13 @@ void gemm_nc(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
              Trans tb, double beta, MatrixView c) {
   gemm_dispatch<double>(alpha, a, ta, b, tb, beta, c);
 }
-void gemm_nc(float alpha, ConstMatrixViewF a, Trans ta, ConstMatrixViewF b,
-             Trans tb, float beta, MatrixViewF c) {
-  gemm_dispatch<float>(alpha, a, ta, b, tb, beta, c);
-}
 void syrk_nc(double alpha, ConstMatrixView a, Trans trans, double beta,
              MatrixView c) {
   syrk_dispatch<double>(alpha, a, trans, beta, c);
 }
-void syrk_nc(float alpha, ConstMatrixViewF a, Trans trans, float beta,
-             MatrixViewF c) {
-  syrk_dispatch<float>(alpha, a, trans, beta, c);
-}
 void trsm_nc(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
              ConstMatrixView t, MatrixView b) {
   trsm_dispatch<double>(side, uplo, trans, diag, alpha, t, b);
-}
-void trsm_nc(Side side, UpLo uplo, Trans trans, Diag diag, float alpha,
-             ConstMatrixViewF t, MatrixViewF b) {
-  trsm_dispatch<float>(side, uplo, trans, diag, alpha, t, b);
 }
 
 }  // namespace detail
@@ -320,50 +275,20 @@ void gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b, Trans tb
   check_gemm(a, ta, b, tb, c);
   detail::gemm_naive<double>(alpha, a, ta, b, tb, beta, c);
 }
-void gemm(float alpha, ConstMatrixViewF a, Trans ta, ConstMatrixViewF b, Trans tb,
-          float beta, MatrixViewF c) {
-  check_gemm(a, ta, b, tb, c);
-  detail::gemm_naive<float>(alpha, a, ta, b, tb, beta, c);
-}
 void syrk(double alpha, ConstMatrixView a, Trans trans, double beta, MatrixView c) {
   check_syrk(a, trans, c);
   detail::syrk_naive<double>(alpha, a, trans, beta, c);
-}
-void syrk(float alpha, ConstMatrixViewF a, Trans trans, float beta, MatrixViewF c) {
-  check_syrk(a, trans, c);
-  detail::syrk_naive<float>(alpha, a, trans, beta, c);
 }
 void trsm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView t, MatrixView b) {
   check_tr(side, t, b, "trsm");
   detail::trsm_naive<double>(side, uplo, trans, diag, alpha, t, b);
 }
-void trsm(Side side, UpLo uplo, Trans trans, Diag diag, float alpha,
-          ConstMatrixViewF t, MatrixViewF b) {
-  check_tr(side, t, b, "trsm");
-  detail::trsm_naive<float>(side, uplo, trans, diag, alpha, t, b);
-}
-void trmm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
-          ConstMatrixView t, MatrixView b) {
-  check_tr(side, t, b, "trmm");
-  detail::trmm_naive<double>(side, uplo, trans, diag, alpha, t, b);
-}
-void trmm(Side side, UpLo uplo, Trans trans, Diag diag, float alpha,
-          ConstMatrixViewF t, MatrixViewF b) {
-  check_tr(side, t, b, "trmm");
-  detail::trmm_naive<float>(side, uplo, trans, diag, alpha, t, b);
-}
 void potrf(MatrixView a) {
   HATRIX_CHECK(a.rows == a.cols, "potrf requires a square matrix");
   detail::potrf_unblocked<double>(a);
   for (index_t j = 1; j < a.cols; ++j)
     for (index_t i = 0; i < j; ++i) a(i, j) = 0.0;
-}
-void potrf(MatrixViewF a) {
-  HATRIX_CHECK(a.rows == a.cols, "potrf requires a square matrix");
-  detail::potrf_unblocked<float>(a);
-  for (index_t j = 1; j < a.cols; ++j)
-    for (index_t i = 0; i < j; ++i) a(i, j) = 0.0F;
 }
 
 }  // namespace ref

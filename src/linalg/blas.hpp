@@ -4,8 +4,8 @@
 /// runtime-selectable backend.
 ///
 /// Three interchangeable backends implement the level-3 kernels
-/// (gemm/syrk/trsm and the blocked potrf built on them, in `double` and
-/// `float`):
+/// (gemm/syrk/trsm and the blocked potrf built on them; FP64 only — the
+/// mixed-precision mode stores in FP32 but computes in FP64):
 ///
 ///   - `Backend::Blocked` (default): cache-blocked, packing gemm with
 ///     register-tiled micro-kernels; trsm/syrk/potrf are recast as small
@@ -66,8 +66,6 @@ void set_backend(Backend b);
 /// C = alpha * op(A) * op(B) + beta * C.
 void gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b, Trans tb,
           double beta, MatrixView c);
-void gemm(float alpha, ConstMatrixViewF a, Trans ta, ConstMatrixViewF b, Trans tb,
-          float beta, MatrixViewF c);
 
 /// Convenience: returns op(A)*op(B) as a new matrix.
 Matrix matmul(ConstMatrixView a, ConstMatrixView b, Trans ta = Trans::No,
@@ -76,20 +74,11 @@ Matrix matmul(ConstMatrixView a, ConstMatrixView b, Trans ta = Trans::No,
 /// C = alpha * A * Aᵀ + beta * C (trans==No) or alpha * Aᵀ * A + beta * C
 /// (trans==Yes). Both triangles of C are written (full symmetric result).
 void syrk(double alpha, ConstMatrixView a, Trans trans, double beta, MatrixView c);
-void syrk(float alpha, ConstMatrixViewF a, Trans trans, float beta, MatrixViewF c);
 
 /// B = alpha * op(T)⁻¹ B (Side::Left) or alpha * B op(T)⁻¹ (Side::Right),
 /// where T is triangular per `uplo`/`diag`.
 void trsm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView t, MatrixView b);
-void trsm(Side side, UpLo uplo, Trans trans, Diag diag, float alpha,
-          ConstMatrixViewF t, MatrixViewF b);
-
-/// B = op(T) * B (Side::Left) or B * op(T) (Side::Right).
-void trmm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
-          ConstMatrixView t, MatrixView b);
-void trmm(Side side, UpLo uplo, Trans trans, Diag diag, float alpha,
-          ConstMatrixViewF t, MatrixViewF b);
 
 /// y = alpha * op(A) * x + beta * y. Routed through gemm with a one-column
 /// panel so vector and panel solves stay bit-identical per column.
@@ -101,7 +90,6 @@ void add_scaled(MatrixView y, double alpha, ConstMatrixView x);
 
 /// A *= alpha.
 void scale(MatrixView a, double alpha);
-void scale(MatrixViewF a, float alpha);
 
 /// Frobenius inner product <A, B>.
 double dot(ConstMatrixView a, ConstMatrixView b);
@@ -112,22 +100,12 @@ double dot(ConstMatrixView a, ConstMatrixView b);
 namespace ref {
 void gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b, Trans tb,
           double beta, MatrixView c);
-void gemm(float alpha, ConstMatrixViewF a, Trans ta, ConstMatrixViewF b, Trans tb,
-          float beta, MatrixViewF c);
 void syrk(double alpha, ConstMatrixView a, Trans trans, double beta, MatrixView c);
-void syrk(float alpha, ConstMatrixViewF a, Trans trans, float beta, MatrixViewF c);
 void trsm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView t, MatrixView b);
-void trsm(Side side, UpLo uplo, Trans trans, Diag diag, float alpha,
-          ConstMatrixViewF t, MatrixViewF b);
-void trmm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
-          ConstMatrixView t, MatrixView b);
-void trmm(Side side, UpLo uplo, Trans trans, Diag diag, float alpha,
-          ConstMatrixViewF t, MatrixViewF b);
 /// Unblocked lower Cholesky (the dpotf2-style reference; throws on a
 /// non-positive pivot). Zeroes the strict upper triangle like la::potrf.
 void potrf(MatrixView a);
-void potrf(MatrixViewF a);
 }  // namespace ref
 
 }  // namespace hatrix::la

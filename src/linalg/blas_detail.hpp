@@ -185,53 +185,6 @@ void trsm_naive(Side side, UpLo uplo, Trans trans, Diag diag, T alpha,
   }
 }
 
-template <class T>
-void trmm_naive(Side side, UpLo uplo, Trans trans, Diag diag, T alpha,
-                ConstMatrixViewT<T> t, MatrixViewT<T> b) {
-  const index_t n = t.rows;
-  const bool unit = (diag == Diag::Unit);
-  auto tval = [&](index_t i, index_t j) {
-    return trans == Trans::No ? t(i, j) : t(j, i);
-  };
-  // op(T) is lower iff (uplo==Lower) == (trans==No).
-  const bool op_lower = ((uplo == UpLo::Lower) == (trans == Trans::No));
-
-  if (side == Side::Left) {
-    for (index_t col = 0; col < b.cols; ++col) {
-      if (op_lower) {
-        for (index_t i = n - 1; i >= 0; --i) {
-          T s = unit ? b(i, col) : tval(i, i) * b(i, col);
-          for (index_t j = 0; j < i; ++j) s += tval(i, j) * b(j, col);
-          b(i, col) = alpha * s;
-        }
-      } else {
-        for (index_t i = 0; i < n; ++i) {
-          T s = unit ? b(i, col) : tval(i, i) * b(i, col);
-          for (index_t j = i + 1; j < n; ++j) s += tval(i, j) * b(j, col);
-          b(i, col) = alpha * s;
-        }
-      }
-    }
-  } else {
-    for (index_t row = 0; row < b.rows; ++row) {
-      if (op_lower) {
-        // B := B * op(T); column j of result uses cols l >= j of B.
-        for (index_t j = 0; j < n; ++j) {
-          T s = unit ? b(row, j) : b(row, j) * tval(j, j);
-          for (index_t l = j + 1; l < n; ++l) s += b(row, l) * tval(l, j);
-          b(row, j) = alpha * s;
-        }
-      } else {
-        for (index_t j = n - 1; j >= 0; --j) {
-          T s = unit ? b(row, j) : b(row, j) * tval(j, j);
-          for (index_t l = 0; l < j; ++l) s += b(row, l) * tval(l, j);
-          b(row, j) = alpha * s;
-        }
-      }
-    }
-  }
-}
-
 /// Unblocked lower Cholesky (dpotf2-style). Used for diagonal blocks by the
 /// blocked potrf and as the reference factorization. Does NOT touch the
 /// strict upper triangle — the callers zero it once at the end.
@@ -266,11 +219,6 @@ template <>
 struct GemmBlocking<double> {
   static constexpr index_t MR = 8, NR = 6;
   static constexpr index_t MC = 128, KC = 256, NC = 768;
-};
-template <>
-struct GemmBlocking<float> {
-  static constexpr index_t MR = 16, NR = 6;
-  static constexpr index_t MC = 256, KC = 256, NC = 1536;
 };
 
 /// Pack op(A)[i0..i0+mc) x [p0..p0+kc) into MR-row panels: panel ir holds
@@ -554,15 +502,9 @@ void syrk_blocked(T alpha, ConstMatrixViewT<T> a, Trans trans, T beta,
 
 void gemm_nc(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
              Trans tb, double beta, MatrixView c);
-void gemm_nc(float alpha, ConstMatrixViewF a, Trans ta, ConstMatrixViewF b,
-             Trans tb, float beta, MatrixViewF c);
 void syrk_nc(double alpha, ConstMatrixView a, Trans trans, double beta,
              MatrixView c);
-void syrk_nc(float alpha, ConstMatrixViewF a, Trans trans, float beta,
-             MatrixViewF c);
 void trsm_nc(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
              ConstMatrixView t, MatrixView b);
-void trsm_nc(Side side, UpLo uplo, Trans trans, Diag diag, float alpha,
-             ConstMatrixViewF t, MatrixViewF b);
 
 }  // namespace hatrix::la::detail

@@ -20,14 +20,9 @@ namespace hatrix::la::vendor {
 
 void gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b, Trans tb,
           double beta, MatrixView c);
-void gemm(float alpha, ConstMatrixViewF a, Trans ta, ConstMatrixViewF b, Trans tb,
-          float beta, MatrixViewF c);
 void syrk(double alpha, ConstMatrixView a, Trans trans, double beta, MatrixView c);
-void syrk(float alpha, ConstMatrixViewF a, Trans trans, float beta, MatrixViewF c);
 void trsm(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView t, MatrixView b);
-void trsm(Side side, UpLo uplo, Trans trans, Diag diag, float alpha,
-          ConstMatrixViewF t, MatrixViewF b);
 
 }  // namespace hatrix::la::vendor
 

@@ -48,13 +48,6 @@ void potrf(MatrixView a) {
   potrf_blocked<double>(a);
 }
 
-void potrf(MatrixViewF a) {
-  HATRIX_CHECK(a.rows == a.cols, "potrf requires a square matrix");
-  const index_t n = a.rows;
-  flops::add(static_cast<std::uint64_t>(n) * n * n / 3);
-  potrf_blocked<float>(a);
-}
-
 void potrs(ConstMatrixView l, MatrixView b) {
   trsm(Side::Left, UpLo::Lower, Trans::No, Diag::NonUnit, 1.0, l, b);
   trsm(Side::Left, UpLo::Lower, Trans::Yes, Diag::NonUnit, 1.0, l, b);

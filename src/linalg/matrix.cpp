@@ -88,60 +88,11 @@ void copy(ConstMatrixView src, MatrixView dst) {
     for (index_t i = 0; i < src.rows; ++i) dst(i, j) = src(i, j);
 }
 
-void copy(ConstMatrixViewF src, MatrixViewF dst) {
-  HATRIX_CHECK(src.rows == dst.rows && src.cols == dst.cols, "copy shape mismatch");
-  for (index_t j = 0; j < src.cols; ++j)
-    for (index_t i = 0; i < src.rows; ++i) dst(i, j) = src(i, j);
-}
-
-void widen(ConstMatrixViewF src, MatrixView dst) {
-  HATRIX_CHECK(src.rows == dst.rows && src.cols == dst.cols, "widen shape mismatch");
-  for (index_t j = 0; j < src.cols; ++j)
-    for (index_t i = 0; i < src.rows; ++i)
-      dst(i, j) = static_cast<double>(src(i, j));
-}
-
-void narrow(ConstMatrixView src, MatrixViewF dst) {
-  HATRIX_CHECK(src.rows == dst.rows && src.cols == dst.cols, "narrow shape mismatch");
-  for (index_t j = 0; j < src.cols; ++j)
-    for (index_t i = 0; i < src.rows; ++i)
-      dst(i, j) = static_cast<float>(src(i, j));
-}
-
-MatrixF to_f32(ConstMatrixView v) {
-  MatrixF out(v.rows, v.cols);
-  narrow(v, out.view());
-  return out;
-}
-
-Matrix to_f64(ConstMatrixViewF v) {
-  Matrix out(v.rows, v.cols);
-  widen(v, out.view());
-  return out;
-}
-
 Matrix transpose(ConstMatrixView a) {
   Matrix t(a.cols, a.rows);
   for (index_t j = 0; j < a.cols; ++j)
     for (index_t i = 0; i < a.rows; ++i) t(j, i) = a(i, j);
   return t;
-}
-
-Matrix vconcat(const std::vector<ConstMatrixView>& parts) {
-  HATRIX_CHECK(!parts.empty(), "vconcat of nothing");
-  index_t rows = 0;
-  const index_t cols = parts.front().cols;
-  for (const auto& p : parts) {
-    HATRIX_CHECK(p.cols == cols, "vconcat column mismatch");
-    rows += p.rows;
-  }
-  Matrix out(rows, cols);
-  index_t at = 0;
-  for (const auto& p : parts) {
-    copy(p, out.block(at, 0, p.rows, p.cols));
-    at += p.rows;
-  }
-  return out;
 }
 
 Matrix hconcat(const std::vector<ConstMatrixView>& parts) {
@@ -178,11 +129,6 @@ Matrix gather_cols(ConstMatrixView src, const std::vector<index_t>& cols) {
 }
 
 void fill(MatrixView a, double value) {
-  for (index_t j = 0; j < a.cols; ++j)
-    for (index_t i = 0; i < a.rows; ++i) a(i, j) = value;
-}
-
-void fill(MatrixViewF a, float value) {
   for (index_t j = 0; j < a.cols; ++j)
     for (index_t i = 0; i < a.rows; ++i) a(i, j) = value;
 }

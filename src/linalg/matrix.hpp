@@ -7,8 +7,8 @@
 /// kernel operates on these types. `Matrix` owns its storage; the view
 /// structs reference sub-blocks with a leading dimension, which is what
 /// blocked factorization algorithms need. Views and the kernel layer are
-/// templated on the scalar type: `double` everywhere by default, `float`
-/// for the mixed-precision low-rank storage path and the FP32 kernels.
+/// templated on the scalar type; every kernel instantiates them for
+/// `double`.
 ///
 /// Mixed-precision storage: a `Matrix` (FP64 interface) can *demote* its
 /// buffer to FP32 (`demote_storage()`), halving its resident footprint.
@@ -121,48 +121,6 @@ struct MatrixViewT {
 
 using ConstMatrixView = ConstMatrixViewT<double>;
 using MatrixView = MatrixViewT<double>;
-using ConstMatrixViewF = ConstMatrixViewT<float>;
-using MatrixViewF = MatrixViewT<float>;
-
-/// Owning dense column-major FP32 matrix. The storage sibling of `Matrix`
-/// for the FP32 kernel path (benchmarks, conformance tests); the format
-/// layers use `Matrix::demote_storage()` rather than this type so their
-/// interfaces stay FP64.
-class MatrixF {
- public:
-  MatrixF() = default;
-  MatrixF(index_t r, index_t c)
-      : rows_(r), cols_(c), data_(static_cast<std::size_t>(r * c), 0.0F) {
-    HATRIX_CHECK(r >= 0 && c >= 0, "negative dimension");
-  }
-
-  [[nodiscard]] index_t rows() const { return rows_; }
-  [[nodiscard]] index_t cols() const { return cols_; }
-  [[nodiscard]] bool empty() const { return rows_ == 0 || cols_ == 0; }
-  [[nodiscard]] std::int64_t bytes() const {
-    return static_cast<std::int64_t>(data_.size() * sizeof(float));
-  }
-
-  float& operator()(index_t i, index_t j) {
-    return data_[static_cast<std::size_t>(i + j * rows_)];
-  }
-  const float& operator()(index_t i, index_t j) const {
-    return data_[static_cast<std::size_t>(i + j * rows_)];
-  }
-
-  float* data() { return data_.data(); }
-  [[nodiscard]] const float* data() const { return data_.data(); }
-
-  [[nodiscard]] MatrixViewF view() { return {data_.data(), rows_, cols_, rows_}; }
-  [[nodiscard]] ConstMatrixViewF view() const {
-    return {data_.data(), rows_, cols_, rows_};
-  }
-
- private:
-  index_t rows_ = 0;
-  index_t cols_ = 0;
-  std::vector<float, detail::TrackingAllocator<float>> data_;
-};
 
 /// Owning dense column-major matrix with an FP64 interface. Normally backed
 /// by an FP64 buffer; `demote_storage()` swaps the backing store to FP32
@@ -247,11 +205,6 @@ class Matrix {
 
   /// True when the backing store is FP32 (demoted).
   [[nodiscard]] bool is_f32() const { return !data32_.empty(); }
-  /// FP32 view of a demoted matrix (the FP32 kernels consume this).
-  [[nodiscard]] ConstMatrixViewF f32_view() const {
-    HATRIX_CHECK(data_.empty(), "f32_view() on FP64-stored matrix");
-    return {data32_.data(), rows_, cols_, rows_};
-  }
 
   /// Round every entry through FP32 and keep the FP32 buffer as the backing
   /// store (the FP64 buffer is freed). No-op on empty or already-demoted
@@ -296,21 +249,9 @@ class F64Block {
 
 /// Deep copy helper (dst and src must have equal shapes).
 void copy(ConstMatrixView src, MatrixView dst);
-void copy(ConstMatrixViewF src, MatrixViewF dst);
-
-/// Precision converters between view element types (shape-checked).
-void widen(ConstMatrixViewF src, MatrixView dst);
-void narrow(ConstMatrixView src, MatrixViewF dst);
-/// FP32 deep copy of an FP64 view (entry-wise rounding).
-MatrixF to_f32(ConstMatrixView v);
-/// FP64 deep copy of an FP32 view (exact widening).
-Matrix to_f64(ConstMatrixViewF v);
 
 /// Return the transpose as a new matrix.
 Matrix transpose(ConstMatrixView a);
-
-/// Stack views vertically: [A; B; ...]. All must share the column count.
-Matrix vconcat(const std::vector<ConstMatrixView>& parts);
 
 /// Stack views horizontally: [A, B, ...]. All must share the row count.
 Matrix hconcat(const std::vector<ConstMatrixView>& parts);
@@ -323,6 +264,5 @@ Matrix gather_cols(ConstMatrixView src, const std::vector<index_t>& cols);
 
 /// Set every entry of the view to `value`.
 void fill(MatrixView a, double value);
-void fill(MatrixViewF a, float value);
 
 }  // namespace hatrix::la

@@ -117,11 +117,4 @@ SvdResult svd(ConstMatrixView a) {
   return out;
 }
 
-index_t numerical_rank(const std::vector<double>& s, double tol) {
-  index_t r = 0;
-  for (double x : s)
-    if (x > tol) ++r;
-  return r;
-}
-
 }  // namespace hatrix::la

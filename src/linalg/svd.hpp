@@ -20,8 +20,4 @@ struct SvdResult {
 };
 SvdResult svd(ConstMatrixView a);
 
-/// Number of singular values strictly greater than `tol` (absolute) —
-/// the numerical epsilon-rank.
-index_t numerical_rank(const std::vector<double>& s, double tol);
-
 }  // namespace hatrix::la

@@ -5,107 +5,8 @@
 
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
-#include "linalg/qr.hpp"
-#include "lowrank/compress.hpp"
 
 namespace hatrix::lr {
-
-namespace {
-
-/// Orthogonalize the columns of `y` against the basis `q` (classical
-/// Gram-Schmidt, applied twice for stability): y -= q (qᵀ y).
-void project_out(la::ConstMatrixView q, la::MatrixView y) {
-  if (q.cols == 0) return;
-  for (int pass = 0; pass < 2; ++pass) {
-    Matrix c = la::matmul(q, y, la::Trans::Yes, la::Trans::No);
-    la::gemm(-1.0, q, la::Trans::No, c.view(), la::Trans::No, 1.0, y);
-  }
-}
-
-}  // namespace
-
-AdaptiveLowRank rsvd_adaptive(la::ConstMatrixView a, index_t max_rank, double tol,
-                              Rng& rng, index_t block, index_t probe_cols) {
-  const index_t m = a.rows, n = a.cols;
-  max_rank = std::min({max_rank, m, n});
-  AdaptiveLowRank out;
-  if (m == 0 || n == 0 || max_rank == 0) return out;
-  block = std::max<index_t>(1, block);
-  probe_cols = std::max<index_t>(1, probe_cols);
-
-  Matrix q(m, 0);
-  for (;;) {
-    const index_t b = std::min(block, max_rank - q.cols());
-    if (b <= 0) break;
-    Matrix omega = Matrix::random_normal(rng, n, b);
-    Matrix y = la::matmul(a, omega.view());
-    project_out(q.view(), y.view());
-    auto qy = la::qr(y.view());
-    q = la::hconcat({q.view(), qy.q.view()});
-    ++out.rounds;
-
-    if (q.cols() >= max_rank) {
-      // Rank budget exhausted: report the probe residual anyway.
-      Matrix p = la::matmul(a, Matrix::random_normal(rng, n, probe_cols).view());
-      const double pn = la::norm_fro(p.view());
-      project_out(q.view(), p.view());
-      out.residual = pn > 0.0 ? la::norm_fro(p.view()) / pn : 0.0;
-      break;
-    }
-    // Fresh probe: the projection residual of new random samples estimates
-    // ||A - Q Qᵀ A||_F / ||A||_F without touching the accepted sketch.
-    Matrix p = la::matmul(a, Matrix::random_normal(rng, n, probe_cols).view());
-    const double pn = la::norm_fro(p.view());
-    project_out(q.view(), p.view());
-    out.residual = pn > 0.0 ? la::norm_fro(p.view()) / pn : 0.0;
-    if (out.residual <= tol) break;
-  }
-
-  // B = Qᵀ A, SVD-truncate the small core at the same relative tolerance.
-  Matrix bmat = la::matmul(q.view(), a, la::Trans::Yes, la::Trans::No);
-  LowRank small = truncated_svd(bmat.view(), max_rank, tol);
-  out.lr = LowRank(la::matmul(q.view(), small.u.view()), std::move(small.v));
-  return out;
-}
-
-AdaptiveLowRank aca_adaptive(const EntryFn& entry, index_t rows, index_t cols,
-                             index_t max_rank, double tol, Rng& rng,
-                             index_t probe_rows, index_t probe_cols) {
-  max_rank = std::min({max_rank, rows, cols});
-  AdaptiveLowRank out;
-  if (rows == 0 || cols == 0 || max_rank == 0) return out;
-  probe_rows = std::min(probe_rows, rows);
-  probe_cols = std::min(probe_cols, cols);
-
-  double inner_tol = tol;
-  for (;;) {
-    out.lr = aca(entry, rows, cols, max_rank, inner_tol);
-    ++out.rounds;
-
-    // Probe: exact residual on a random row x column entry sample.
-    std::vector<index_t> ri(static_cast<std::size_t>(probe_rows));
-    std::vector<index_t> cj(static_cast<std::size_t>(probe_cols));
-    for (auto& i : ri) i = rng.index(rows);
-    for (auto& j : cj) j = rng.index(cols);
-    double num = 0.0, den = 0.0;
-    for (index_t i : ri) {
-      for (index_t j : cj) {
-        const double exact = entry(i, j);
-        double approx = 0.0;
-        for (index_t k = 0; k < out.lr.rank(); ++k)
-          approx += out.lr.u(i, k) * out.lr.v(j, k);
-        num += (exact - approx) * (exact - approx);
-        den += exact * exact;
-      }
-    }
-    out.residual = den > 0.0 ? std::sqrt(num / den) : 0.0;
-    if (out.residual <= tol || out.lr.rank() >= max_rank) break;
-    // The heuristic stopping rule quit early: tighten it and rebuild.
-    inner_tol = inner_tol > 0.0 ? inner_tol * 0.1 : 0.0;
-    if (inner_tol == 0.0) break;  // already running to max_rank
-  }
-  return out;
-}
 
 namespace {
 

@@ -1,45 +1,18 @@
 #pragma once
 /// \file adaptive.hpp
-/// \brief Adaptive-rank compression with a posteriori accuracy guards.
+/// \brief A posteriori accuracy probes for sampled interpolative bases.
 ///
-/// The fixed-rank compressors (compress, rsvd, aca) take the target rank as
-/// an input; these variants take a relative-error tolerance and *discover*
-/// the rank, growing their sample until an independent residual probe
-/// certifies the approximation. They are the building blocks of the guarded
-/// HSS construction: an under-sampled basis no longer fails silently — it is
-/// either grown until the probe passes or reported as under-resolved.
+/// The guarded HSS construction builds each node's row-ID from a column
+/// sample and then checks it on fresh probe columns; these functions measure
+/// that probe residual. An under-sampled basis therefore no longer fails
+/// silently — the builder grows the sample until the probe passes or
+/// reports the node as under-resolved.
 
-#include "common/rng.hpp"
-#include "lowrank/aca.hpp"
+#include <vector>
+
 #include "lowrank/lowrank.hpp"
 
 namespace hatrix::lr {
-
-/// Result of an adaptive compression: the factorization plus the evidence
-/// the stopping rule saw.
-struct AdaptiveLowRank {
-  LowRank lr;            ///< the discovered factorization
-  double residual = 0.0; ///< last probe estimate of the relative error
-  index_t rounds = 0;    ///< sample-growth rounds taken before acceptance
-};
-
-/// Adaptive randomized range finder + SVD (Halko et al., Alg. 4.2 flavor):
-/// grow a Gaussian sketch in blocks of `block` columns, orthogonalizing each
-/// block against the basis found so far, until a fresh `probe_cols`-column
-/// probe estimates ||A - Q Qᵀ A||_F <= tol · ||A||_F, or the basis reaches
-/// `max_rank`. The final factors are SVD-truncated at the same tolerance.
-AdaptiveLowRank rsvd_adaptive(la::ConstMatrixView a, index_t max_rank, double tol,
-                              Rng& rng, index_t block = 16,
-                              index_t probe_cols = 8);
-
-/// Probe-verified ACA: run aca() with its heuristic stopping tolerance, then
-/// measure the true residual on a random (probe_rows x probe_cols) entry
-/// sample. While the probe residual exceeds `tol`, rerun with a 10x stricter
-/// internal tolerance (ACA's incremental stopping rule is a heuristic that
-/// can quit early on kernels with localized interactions) up to `max_rank`.
-AdaptiveLowRank aca_adaptive(const EntryFn& entry, index_t rows, index_t cols,
-                             index_t max_rank, double tol, Rng& rng,
-                             index_t probe_rows = 24, index_t probe_cols = 24);
 
 /// Relative residual ||P - X·P(sel, :)||_F / ||P||_F of a row interpolation
 /// (row-ID) evaluated on probe columns P. `x` is the interpolation factor

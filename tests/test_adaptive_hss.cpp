@@ -1,6 +1,6 @@
-// Tests for the adaptive (guarded) HSS construction: the adaptive low-rank
-// compressors, the accuracy guard's probe, the typed under-resolution
-// error, the construction task graph, and sequential/parallel equivalence.
+// Tests for the adaptive (guarded) HSS construction: the accuracy guard's
+// interpolation probes, the typed under-resolution error, the construction
+// task graph, and sequential/parallel equivalence.
 // The full-scale N=8192 regression lives in test_hss_guard_regression.cpp
 // (slow label).
 #include <gtest/gtest.h>
@@ -25,43 +25,6 @@ namespace {
 
 using la::index_t;
 using la::Matrix;
-
-TEST(AdaptiveRsvd, DiscoversRankAndMeetsTolerance) {
-  Rng rng(17);
-  // Exactly rank-12 matrix plus noise well below the tolerance.
-  Matrix u = Matrix::random_normal(rng, 120, 12);
-  Matrix v = Matrix::random_normal(rng, 90, 12);
-  Matrix a = la::matmul(u.view(), v.view(), la::Trans::No, la::Trans::Yes);
-  auto res = lr::rsvd_adaptive(a.view(), 64, 1e-8, rng);
-  EXPECT_LE(res.lr.rank(), 40);  // did not blow through the budget
-  EXPECT_GE(res.lr.rank(), 12);
-  EXPECT_LT(lr::approx_error(res.lr, a.view()), 1e-7);
-  EXPECT_LE(res.residual, 1e-8);
-}
-
-TEST(AdaptiveRsvd, ReportsResidualWhenRankCapped) {
-  Rng rng(18);
-  // Full-rank random matrix, cap far below: the probe must report failure.
-  Matrix a = Matrix::random_normal(rng, 80, 80);
-  auto res = lr::rsvd_adaptive(a.view(), 10, 1e-10, rng);
-  EXPECT_EQ(res.lr.rank(), 10);
-  EXPECT_GT(res.residual, 1e-3);  // honest: tolerance was not reached
-}
-
-TEST(AdaptiveAca, ProbeVerifiedResidual) {
-  geom::Domain d = geom::grid2d(400);
-  auto kernel = kernels::make_kernel("yukawa");
-  kernels::KernelMatrix km(*kernel, d.points);
-  // Off-diagonal block [0,100) x [200, 400): admissible, low rank.
-  lr::EntryFn entry = [&](index_t i, index_t j) { return km.entry(i, 200 + j); };
-  Rng rng(19);
-  auto res = lr::aca_adaptive(entry, 100, 200, 60, 1e-6, rng);
-  Matrix ref(100, 200);
-  for (index_t i = 0; i < 100; ++i)
-    for (index_t j = 0; j < 200; ++j) ref(i, j) = entry(i, j);
-  EXPECT_LT(lr::approx_error(res.lr, ref.view()), 1e-5);
-  EXPECT_LE(res.residual, 1e-6);
-}
 
 TEST(InterpResidual, ExactInterpolationIsZero) {
   Rng rng(20);
@@ -152,10 +115,10 @@ TEST(GuardedBuild, TypedErrorPropagatesThroughExecutor) {
   Problem p(2048, 256, "matern", 1e-4, /*scattered=*/true);
   fmt::KernelAccessor acc(*p.km);
   EXPECT_THROW(
-      fmt::build_hss_parallel(acc,
-                              {.leaf_size = 256, .max_rank = 60, .sample_cols = 64,
-                               .guard_tol = 1e-8, .max_sample_cols = 128},
-                              4),
+      fmt::build_hss(acc,
+                     {.leaf_size = 256, .max_rank = 60, .sample_cols = 64,
+                      .guard_tol = 1e-8, .max_sample_cols = 128},
+                     4),
       fmt::BasisUnderResolvedError);
 }
 
@@ -208,7 +171,7 @@ TEST(BuildDag, ParallelExecutionMatchesSequentialExactly) {
   const fmt::HSSOptions opts{.leaf_size = 128, .max_rank = 30,
                              .sample_cols = 200, .guard_tol = 1e-4};
   fmt::HSSMatrix seq = fmt::build_hss(acc, opts);
-  fmt::HSSMatrix par = fmt::build_hss_parallel(acc, opts, 4);
+  fmt::HSSMatrix par = fmt::build_hss(acc, opts, 4);
   // Per-node deterministic sampling streams: the parallel build must be the
   // same matrix, independent of scheduling.
   EXPECT_EQ(seq.max_rank_used(), par.max_rank_used());

@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "blrchol/blr_cholesky.hpp"
-#include "blrchol/tile_cholesky.hpp"
+#include "blrchol/blr_cholesky_tasks.hpp"
 #include "common/flops.hpp"
 #include "format/accessor.hpp"
 #include "format/hss_builder.hpp"
@@ -14,8 +14,8 @@
 #include "kernels/kernel_matrix.hpp"
 #include "kernels/kernels.hpp"
 #include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/norms.hpp"
+#include "runtime/thread_pool_executor.hpp"
 #include "ulv/hss_ulv.hpp"
 
 namespace hatrix::blrchol {
@@ -44,6 +44,19 @@ double vec_rel_err(const std::vector<double>& a, const std::vector<double>& b) {
   return std::sqrt(num / den);
 }
 
+/// Dense tile Cholesky of `a`: emit_dense_cholesky_dag run on one worker.
+/// The DAG leaves the strict upper triangle as it was; zero it so the result
+/// is L exactly as la::ref::potrf returns it.
+Matrix dag_cholesky(const Matrix& a, la::index_t tile) {
+  rt::TaskGraph graph;
+  DenseCholDag dag = emit_dense_cholesky_dag(a.view(), a.rows(), tile, graph, true);
+  rt::ThreadPoolExecutor(1).run(graph);
+  Matrix l = std::move(*dag.state);
+  for (la::index_t j = 1; j < l.cols(); ++j)
+    for (la::index_t i = 0; i < j; ++i) l(i, j) = 0.0;
+  return l;
+}
+
 class TileCholSizes
     : public ::testing::TestWithParam<std::pair<la::index_t, la::index_t>> {};
 
@@ -52,9 +65,8 @@ TEST_P(TileCholSizes, MatchesUnblockedCholesky) {
   Rng rng(91);
   Matrix a = Matrix::random_spd(rng, n);
   Matrix ref = Matrix::from_view(a.view());
-  la::potrf(ref.view());
-  Matrix tiled = Matrix::from_view(a.view());
-  tile_cholesky(tiled.view(), tile);
+  la::ref::potrf(ref.view());
+  Matrix tiled = dag_cholesky(a, tile);
   EXPECT_LT(la::rel_error(ref.view(), tiled.view()), 1e-11);
 }
 
@@ -69,7 +81,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TileCholesky, RejectsIndefinite) {
   Matrix a = Matrix::identity(32);
   a(20, 20) = -1.0;
-  EXPECT_THROW(tile_cholesky(a.view(), 8), Error);
+  EXPECT_THROW(dag_cholesky(a, 8), Error);
 }
 
 TEST(TileCholesky, NumTiles) {
@@ -165,7 +177,7 @@ TEST(Complexity, DenseCholeskyFlopsGrowCubically) {
     Rng rng(95);
     Matrix a = Matrix::random_spd(rng, n);
     hatrix::flops::reset();
-    tile_cholesky(a.view(), 64);
+    (void)dag_cholesky(a, 64);
     return static_cast<double>(hatrix::flops::total());
   };
   const double f1 = flops_for(128);

@@ -1,4 +1,4 @@
-// Tests for dense factorizations: Cholesky, LU, QR (plain and pivoted), SVD.
+// Tests for dense factorizations: Cholesky, QR (plain and pivoted), SVD.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include "common/flops.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
@@ -55,36 +54,6 @@ TEST(Potrs, SolvesSpdSystem) {
   Matrix b = matmul(a.view(), x_true.view());
   Matrix x = solve_spd(a.view(), b.view());
   EXPECT_LT(rel_error(x_true.view(), x.view()), 1e-10);
-}
-
-TEST(Lu, ReconstructsAndSolves) {
-  Rng rng(23);
-  const index_t n = 50;
-  Matrix a = Matrix::random_normal(rng, n, n);
-  for (index_t i = 0; i < n; ++i) a(i, i) += 10.0;  // well-conditioned
-  Matrix x_true = Matrix::random_normal(rng, n, 2);
-  Matrix b = matmul(a.view(), x_true.view());
-  Matrix x = solve(a.view(), b.view());
-  EXPECT_LT(rel_error(x_true.view(), x.view()), 1e-10);
-}
-
-TEST(Lu, PivotsOnZeroDiagonal) {
-  Matrix a(2, 2);
-  a(0, 0) = 0.0;
-  a(0, 1) = 1.0;
-  a(1, 0) = 1.0;
-  a(1, 1) = 0.0;
-  Matrix b(2, 1);
-  b(0, 0) = 3.0;
-  b(1, 0) = 5.0;
-  Matrix x = solve(a.view(), b.view());
-  EXPECT_NEAR(x(0, 0), 5.0, 1e-14);
-  EXPECT_NEAR(x(1, 0), 3.0, 1e-14);
-}
-
-TEST(Lu, SingularThrows) {
-  Matrix a(2, 2);  // all zeros
-  EXPECT_THROW(getrf(a.view()), Error);
 }
 
 class QrShapes : public ::testing::TestWithParam<std::pair<index_t, index_t>> {};
@@ -444,12 +413,6 @@ TEST(Svd, SingularValuesOfKnownMatrix) {
   EXPECT_NEAR(f.s[0], 3.0, 1e-12);
   EXPECT_NEAR(f.s[1], 2.0, 1e-12);
   EXPECT_NEAR(f.s[2], 1.0, 1e-12);
-}
-
-TEST(Svd, NumericalRankThreshold) {
-  std::vector<double> s{10.0, 1.0, 1e-9, 0.0};
-  EXPECT_EQ(numerical_rank(s, 1e-6), 2);
-  EXPECT_EQ(numerical_rank(s, 1e-12), 3);
 }
 
 TEST(Norms, KnownValues) {

@@ -59,7 +59,7 @@ TEST(HssGuardRegression, AdaptiveGuardRecoversFactorizationAndResidual) {
   fmt::HSSBuildReport rep;
   // Same 512 initial samples; the guard (at the nugget scale, the smallest
   // eigenvalue of the covariance) grows each node until its probe passes.
-  fmt::HSSMatrix h = fmt::build_hss_parallel(
+  fmt::HSSMatrix h = fmt::build_hss(
       acc,
       {.leaf_size = 256, .max_rank = 80, .sample_cols = 512, .guard_tol = 1e-4},
       2, &rep);

@@ -2,9 +2,10 @@
 // always; Vendor when compiled in) is checked against the retained naive
 // reference kernels `la::ref::` across the full option space — all
 // Trans/Side/UpLo/Diag combinations, odd and power-of-two sizes, zero
-// dimensions, non-contiguous (strided) views, and both scalar precisions.
-// The backends reorder accumulation, so comparisons are tolerance-based
-// (scaled by the inner dimension and the scalar epsilon), not bitwise —
+// dimensions, and non-contiguous (strided) views, in FP64 (the only
+// precision the kernels compute in). The backends reorder accumulation, so
+// comparisons are tolerance-based (scaled by the inner dimension and the
+// machine epsilon), not bitwise —
 // bit-identity is the *dispatch-default* contract tested elsewhere
 // (test_solve_blocked, test_executor_conformance), not a cross-backend one.
 //
@@ -31,13 +32,10 @@ namespace {
 
 using la::Backend;
 using la::ConstMatrixView;
-using la::ConstMatrixViewF;
 using la::Diag;
 using la::index_t;
 using la::Matrix;
-using la::MatrixF;
 using la::MatrixView;
-using la::MatrixViewF;
 using la::Side;
 using la::Trans;
 using la::UpLo;
@@ -68,15 +66,8 @@ Matrix random_matrix(index_t r, index_t c, Rng& rng) {
   return m;
 }
 
-MatrixF to_f32(const Matrix& m) {
-  MatrixF f(m.rows(), m.cols());
-  for (index_t j = 0; j < m.cols(); ++j)
-    for (index_t i = 0; i < m.rows(); ++i) f(i, j) = static_cast<float>(m(i, j));
-  return f;
-}
-
 /// Well-conditioned triangular factor: unit-scale off-diagonal entries with
-/// a dominant diagonal, so trsm solves stay far from overflow in float.
+/// a dominant diagonal, so trsm solves stay far from overflow.
 Matrix random_triangular(index_t n, UpLo uplo, Rng& rng) {
   Matrix t(n, n);
   for (index_t j = 0; j < n; ++j)
@@ -119,7 +110,6 @@ double tolerance(index_t inner, double magnitude, double eps) {
 }
 
 constexpr double kEps64 = std::numeric_limits<double>::epsilon();
-constexpr double kEps32 = std::numeric_limits<float>::epsilon();
 
 std::string ctx(Backend b, const std::string& what) {
   return std::string(la::backend_name(b)) + ": " + what;
@@ -170,34 +160,6 @@ TEST(LinalgConformance, GemmDoubleAllTransCombos) {
                 << " ta=" << (ta == Trans::Yes) << " tb=" << (tb == Trans::Yes)
                 << " alpha=" << alpha << " beta=" << beta;
           }
-        }
-      }
-    }
-  }
-}
-
-TEST(LinalgConformance, GemmFloatAllTransCombos) {
-  Rng rng(32);
-  for (Backend be : backends_under_test()) {
-    BackendGuard guard(be);
-    for (const auto& s : gemm_shapes()) {
-      for (Trans ta : {Trans::No, Trans::Yes}) {
-        for (Trans tb : {Trans::No, Trans::Yes}) {
-          const MatrixF a = to_f32(ta == Trans::No ? random_matrix(s.m, s.k, rng)
-                                                   : random_matrix(s.k, s.m, rng));
-          const MatrixF b = to_f32(tb == Trans::No ? random_matrix(s.k, s.n, rng)
-                                                   : random_matrix(s.n, s.k, rng));
-          const MatrixF c0 = to_f32(random_matrix(s.m, s.n, rng));
-          MatrixF c_ref(s.m, s.n), c_got(s.m, s.n);
-          for (index_t j = 0; j < s.n; ++j)
-            for (index_t i = 0; i < s.m; ++i) c_ref(i, j) = c_got(i, j) = c0(i, j);
-          la::ref::gemm(1.0F, a.view(), ta, b.view(), tb, 0.5F, c_ref.view());
-          la::gemm(1.0F, a.view(), ta, b.view(), tb, 0.5F, c_got.view());
-          const double tol = tolerance(s.k, max_abs(c_ref.view()), kEps32);
-          EXPECT_LE(max_diff(c_got.view(), c_ref.view()), tol)
-              << ctx(be, "gemm f " + std::to_string(s.m) + "x" +
-                             std::to_string(s.n) + "x" + std::to_string(s.k))
-              << " ta=" << (ta == Trans::Yes) << " tb=" << (tb == Trans::Yes);
         }
       }
     }
@@ -326,18 +288,6 @@ TEST(LinalgConformance, SyrkBothTransBothPrecisions) {
                     tolerance(k, max_abs(c_ref.view()), kEps64))
               << ctx(be, "syrk d n=" + std::to_string(n) + " k=" + std::to_string(k))
               << " trans=" << (tr == Trans::Yes);
-
-          const MatrixF af = to_f32(a);
-          const MatrixF cf0 = to_f32(c0);
-          MatrixF cf_ref(n, n), cf_got(n, n);
-          for (index_t j = 0; j < n; ++j)
-            for (index_t i = 0; i < n; ++i) cf_ref(i, j) = cf_got(i, j) = cf0(i, j);
-          la::ref::syrk(1.0F, af.view(), tr, 0.5F, cf_ref.view());
-          la::syrk(1.0F, af.view(), tr, 0.5F, cf_got.view());
-          EXPECT_LE(max_diff(cf_got.view(), cf_ref.view()),
-                    tolerance(k, max_abs(cf_ref.view()), kEps32))
-              << ctx(be, "syrk f n=" + std::to_string(n) + " k=" + std::to_string(k))
-              << " trans=" << (tr == Trans::Yes);
         }
       }
     }
@@ -345,7 +295,7 @@ TEST(LinalgConformance, SyrkBothTransBothPrecisions) {
 }
 
 // ---------------------------------------------------------------------------
-// trsm / trmm: all Side x UpLo x Trans x Diag combinations
+// trsm: all Side x UpLo x Trans x Diag combinations
 
 TEST(LinalgConformance, TrsmAllSixteenCombos) {
   Rng rng(35);
@@ -381,71 +331,6 @@ TEST(LinalgConformance, TrsmAllSixteenCombos) {
   }
 }
 
-TEST(LinalgConformance, TrsmFloatCombos) {
-  Rng rng(36);
-  for (Backend be : backends_under_test()) {
-    BackendGuard guard(be);
-    for (index_t n : {1, 17, 65}) {
-      for (Side side : {Side::Left, Side::Right}) {
-        for (UpLo uplo : {UpLo::Lower, UpLo::Upper}) {
-          const MatrixF t = to_f32(random_triangular(n, uplo, rng));
-          const index_t w = 9;
-          const MatrixF b0 = to_f32(random_matrix(side == Side::Left ? n : w,
-                                                  side == Side::Left ? w : n, rng));
-          for (Trans tr : {Trans::No, Trans::Yes}) {
-            for (Diag dg : {Diag::NonUnit, Diag::Unit}) {
-              MatrixF b_ref(b0.rows(), b0.cols()), b_got(b0.rows(), b0.cols());
-              for (index_t j = 0; j < b0.cols(); ++j)
-                for (index_t i = 0; i < b0.rows(); ++i)
-                  b_ref(i, j) = b_got(i, j) = b0(i, j);
-              la::ref::trsm(side, uplo, tr, dg, 1.0F, t.view(), b_ref.view());
-              la::trsm(side, uplo, tr, dg, 1.0F, t.view(), b_got.view());
-              EXPECT_LE(max_diff(b_got.view(), b_ref.view()),
-                        tolerance(n, max_abs(b_ref.view()), kEps32))
-                  << ctx(be, "trsm f n=" + std::to_string(n))
-                  << " side=" << (side == Side::Right)
-                  << " uplo=" << (uplo == UpLo::Upper)
-                  << " trans=" << (tr == Trans::Yes)
-                  << " diag=" << (dg == Diag::Unit);
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(LinalgConformance, TrmmAllSixteenCombos) {
-  Rng rng(37);
-  for (Backend be : backends_under_test()) {
-    BackendGuard guard(be);
-    for (index_t n : {0, 1, 3, 17, 65}) {
-      for (Side side : {Side::Left, Side::Right}) {
-        for (UpLo uplo : {UpLo::Lower, UpLo::Upper}) {
-          const Matrix t = random_triangular(n, uplo, rng);
-          const index_t w = 7;
-          const Matrix b0 = random_matrix(side == Side::Left ? n : w,
-                                          side == Side::Left ? w : n, rng);
-          for (Trans tr : {Trans::No, Trans::Yes}) {
-            for (Diag dg : {Diag::NonUnit, Diag::Unit}) {
-              Matrix b_ref = b0.f64_copy(), b_got = b0.f64_copy();
-              la::ref::trmm(side, uplo, tr, dg, 0.75, t.view(), b_ref.view());
-              la::trmm(side, uplo, tr, dg, 0.75, t.view(), b_got.view());
-              EXPECT_LE(max_diff(b_got.view(), b_ref.view()),
-                        tolerance(n, max_abs(b_ref.view()), kEps64))
-                  << ctx(be, "trmm n=" + std::to_string(n))
-                  << " side=" << (side == Side::Right)
-                  << " uplo=" << (uplo == UpLo::Upper)
-                  << " trans=" << (tr == Trans::Yes)
-                  << " diag=" << (dg == Diag::Unit);
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // potrf
 
@@ -471,16 +356,6 @@ TEST(LinalgConformance, PotrfAgainstUnblockedReference) {
       for (index_t j = 1; j < n; ++j)
         for (index_t i = 0; i < j; ++i)
           EXPECT_EQ(l_got(i, j), 0.0) << ctx(be, "potrf upper not zeroed");
-
-      MatrixF af = to_f32(a);
-      MatrixF lf_ref(n, n), lf_got(n, n);
-      for (index_t j = 0; j < n; ++j)
-        for (index_t i = 0; i < n; ++i) lf_ref(i, j) = lf_got(i, j) = af(i, j);
-      la::ref::potrf(lf_ref.view());
-      la::potrf(lf_got.view());
-      EXPECT_LE(max_diff(lf_got.view(), lf_ref.view()),
-                tolerance(n, max_abs(lf_ref.view()), kEps32))
-          << ctx(be, "potrf f n=" + std::to_string(n));
     }
   }
 }

@@ -1,5 +1,5 @@
-// Tests for the low-rank block type and all compressors (pivoted QR, SVD,
-// ACA, RSVD) plus rounded addition.
+// Tests for the low-rank block type and the compressors (pivoted QR, SVD)
+// plus rounded addition.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,10 +9,8 @@
 #include "kernels/kernels.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
-#include "lowrank/aca.hpp"
 #include "lowrank/compress.hpp"
 #include "lowrank/lowrank.hpp"
-#include "lowrank/rsvd.hpp"
 
 namespace hatrix::lr {
 namespace {
@@ -153,57 +151,13 @@ TEST(LrAddRound, RespectsMaxRankCap) {
   EXPECT_LE(sum.rank(), 4);
 }
 
-TEST(Aca, ExactRecoveryOnLowRankEntries) {
-  Rng rng(49);
-  Matrix a = make_rank_k(rng, 30, 25, 4);
-  auto entry = [&](index_t i, index_t j) { return a(i, j); };
-  LowRank lr = aca(entry, 30, 25, 10, 1e-12);
-  EXPECT_LT(approx_error(lr, a.view()), 1e-8);
-}
-
-TEST(Aca, FarFieldKernelBlock) {
-  Matrix a = far_field_block(50, 50);
-  auto entry = [&](index_t i, index_t j) { return a(i, j); };
-  LowRank lr = aca(entry, 50, 50, 25, 1e-10);
-  EXPECT_LT(approx_error(lr, a.view()), 1e-6);
-  EXPECT_LT(lr.rank(), 25);  // decays well before the cap
-}
-
-TEST(Aca, ZeroMatrixGivesRankZero) {
-  auto entry = [](index_t, index_t) { return 0.0; };
-  LowRank lr = aca(entry, 10, 10, 5, 1e-10);
-  EXPECT_EQ(lr.rank(), 0);
-}
-
-TEST(Rsvd, RecoversLowRankMatrix) {
-  Rng rng(50);
-  Matrix a = make_rank_k(rng, 60, 40, 6);
-  LowRank lr = rsvd(a.view(), 6, rng);
-  EXPECT_EQ(lr.rank(), 6);
-  EXPECT_LT(approx_error(lr, a.view()), 1e-9);
-}
-
-TEST(Rsvd, PowerIterationsImproveFlatSpectra) {
-  Rng rng(51);
-  // Random full-rank matrix: truncation error is large either way, but
-  // power iterations should not make it worse.
-  Matrix a = Matrix::random_normal(rng, 50, 50);
-  Rng r1(7), r2(7);
-  LowRank lr0 = rsvd(a.view(), 10, r1, 8, 0);
-  LowRank lr2 = rsvd(a.view(), 10, r2, 8, 3);
-  EXPECT_LE(approx_error(lr2, a.view()), approx_error(lr0, a.view()) * 1.05);
-}
-
 TEST(Compressors, AgreeOnFarFieldBlock) {
   Matrix a = far_field_block(40, 40);
-  Rng rng(52);
   const index_t k = 12;
   double e_qr = approx_error(compress(a.view(), k, 0.0), a.view());
   double e_svd = approx_error(truncated_svd(a.view(), k, 0.0), a.view());
-  double e_rsvd = approx_error(rsvd(a.view(), k, rng, 8, 2), a.view());
-  // All within an order of magnitude of the optimal truncation.
+  // Within an order of magnitude of the optimal truncation.
   EXPECT_LT(e_qr, 10.0 * e_svd + 1e-14);
-  EXPECT_LT(e_rsvd, 10.0 * e_svd + 1e-14);
 }
 
 }  // namespace

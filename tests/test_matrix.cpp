@@ -66,16 +66,6 @@ TEST(Matrix, TransposeRoundTrip) {
   EXPECT_LT(rel_error(a.view(), tt.view()), 1e-16);
 }
 
-TEST(Matrix, VConcatStacks) {
-  Matrix a(1, 2), b(2, 2);
-  a(0, 0) = 1;
-  b(1, 1) = 5;
-  Matrix c = vconcat({a.view(), b.view()});
-  ASSERT_EQ(c.rows(), 3);
-  EXPECT_EQ(c(0, 0), 1);
-  EXPECT_EQ(c(2, 1), 5);
-}
-
 TEST(Matrix, HConcatStacks) {
   Matrix a(2, 1), b(2, 3);
   a(1, 0) = 2;
@@ -87,8 +77,6 @@ TEST(Matrix, HConcatStacks) {
 }
 
 TEST(Matrix, ConcatShapeMismatchThrows) {
-  Matrix a(1, 2), b(1, 3);
-  EXPECT_THROW(vconcat({a.view(), b.view()}), Error);
   Matrix c(2, 1), d(3, 1);
   EXPECT_THROW(hconcat({c.view(), d.view()}), Error);
 }

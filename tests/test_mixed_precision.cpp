@@ -89,9 +89,9 @@ TEST(MixedPrecision, FootprintAndRefinedResidualOnMatern8192) {
   fmt::KernelAccessor acc(*p.km);
 
   fmt::HSSMatrix h64 =
-      fmt::build_hss_parallel(acc, p.opts(fmt::PrecisionMode::FP64), 2);
+      fmt::build_hss(acc, p.opts(fmt::PrecisionMode::FP64), 2);
   fmt::HSSMatrix hm =
-      fmt::build_hss_parallel(acc, p.opts(fmt::PrecisionMode::MixedFP32), 2);
+      fmt::build_hss(acc, p.opts(fmt::PrecisionMode::MixedFP32), 2);
 
   ASSERT_FALSE(h64.mixed());
   ASSERT_TRUE(hm.mixed());
@@ -155,12 +155,10 @@ TEST(MixedPrecision, SolverKeyDistinguishesPrecisionModes) {
   driver::SolverCache cache(4);
   fmt::KernelAccessor acc(*p.km);
   auto build64 = [&](fmt::HSSBuildReport& rep) {
-    return fmt::build_hss_parallel(acc, p.opts(fmt::PrecisionMode::FP64), 2,
-                                   &rep);
+    return fmt::build_hss(acc, p.opts(fmt::PrecisionMode::FP64), 2, &rep);
   };
   auto buildm = [&](fmt::HSSBuildReport& rep) {
-    return fmt::build_hss_parallel(acc, p.opts(fmt::PrecisionMode::MixedFP32),
-                                   2, &rep);
+    return fmt::build_hss(acc, p.opts(fmt::PrecisionMode::MixedFP32), 2, &rep);
   };
   auto op64 = cache.get_or_build(k64, build64);
   auto opm = cache.get_or_build(km, buildm);
