@@ -2,7 +2,7 @@
 /// \file accessor.hpp
 /// \brief Uniform block access to the matrix being compressed.
 ///
-/// The HSS/BLR2/BLR builders only ever ask for sub-blocks and scattered
+/// The HSS and BLR builders only ever ask for sub-blocks and scattered
 /// (row-set x column-set) gathers. A DenseAccessor serves them from an
 /// explicit matrix (tests, small problems); a KernelAccessor evaluates the
 /// Green's function on demand so large problems never materialize N^2

@@ -3,7 +3,7 @@
 /// \brief Flat BLR matrix (the LORAPO baseline's format).
 ///
 /// Uniform tiling; every off-diagonal tile is compressed *individually*
-/// (no shared bases, unlike BLR²/HSS), diagonal tiles stay dense. LORAPO
+/// (no shared bases, unlike HSS), diagonal tiles stay dense. LORAPO
 /// runs a tile Cholesky on this format with adaptive per-tile ranks, which
 /// is what gives it O(N^2) factorization complexity (Table 1).
 

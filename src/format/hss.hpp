@@ -37,7 +37,7 @@ enum class PrecisionMode { FP64, MixedFP32 };
 /// Human-readable name ("fp64" / "mixed-fp32") for reports and cache keys.
 [[nodiscard]] const char* precision_name(PrecisionMode p);
 
-/// Construction parameters shared by the HSS and BLR2 builders.
+/// Construction parameters of the HSS builder.
 struct HSSOptions {
   index_t leaf_size = 256;  ///< maximum leaf block size (paper Table 2)
   index_t max_rank = 100;   ///< rank cap for every basis (paper "Max Rank")
@@ -60,23 +60,20 @@ struct HSSOptions {
   /// protected by choosing guard_tol at or below lambda_min/lambda_max —
   /// e.g. the nugget for a unit-variance covariance. A sample that reaches
   /// the full off-diagonal complement is exact and always accepted.
+  ///
+  /// A node whose probe residual is pinned at the rank-truncation floor
+  /// rather than limited by sample coverage has its rank cap raised past
+  /// max_rank (the rank escape); otherwise it would grow its sample to the
+  /// full complement, silently degrading to exact O(N^2) sampling, and still
+  /// miss guard_tol. Each escalation doubles the node's rank cap (bounded by
+  /// its block row count), emits a one-line stderr diagnostic, and is
+  /// counted in HSSBuildReport::rank_escapes.
   double guard_tol = 0.0;
   /// Cap on the grown per-node column sample (0: uncapped — the sample may
   /// grow to the full complement). With a cap, a node that exhausts it
   /// without passing the guard throws BasisUnderResolvedError instead of
   /// silently producing an under-resolved basis.
   index_t max_sample_cols = 0;
-  /// Let the guard raise a node's rank cap past max_rank when the probe
-  /// residual is pinned at the rank-truncation floor rather than limited by
-  /// sample coverage. Without the escape, a node whose required rank exceeds
-  /// max_rank keeps growing its column sample — all the way to the full
-  /// off-diagonal complement, silently degrading that node to exact O(N^2)
-  /// sampling — and still comes back with a basis that cannot meet
-  /// guard_tol. Each escalation doubles the node's rank cap (bounded by the
-  /// node's block row count), emits a one-line stderr diagnostic, and is
-  /// counted in HSSBuildReport::rank_escapes. Only active when the guard is
-  /// on (guard_tol > 0).
-  bool rank_escape = true;
   /// Storage precision of the built matrix's low-rank data. Construction
   /// itself always runs in FP64 (so every executor produces bit-identical
   /// factors); with MixedFP32 the finished matrix is demoted once at the end

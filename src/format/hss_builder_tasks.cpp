@@ -194,7 +194,6 @@ Guarded guarded_row_id(const BlockAccessor& acc, const std::vector<index_t>& row
   }
 
   const bool guarded = opts.guard_tol > 0.0;
-  const bool escape = guarded && opts.rank_escape;
   const index_t cap =
       opts.max_sample_cols > 0 ? std::min(opts.max_sample_cols, comp) : comp;
   // The rank cap starts at max_rank but may escalate (below) when the probe
@@ -214,7 +213,7 @@ Guarded guarded_row_id(const BlockAccessor& acc, const std::vector<index_t>& row
       // residual left over is pure rank truncation. If the ID is pinned at
       // the cap while the guard was still failing, raise the cap until the
       // truncation is no longer the binding constraint.
-      while (escape && out.id.rank >= rank_cap && rank_cap < rank_limit &&
+      while (out.id.rank >= rank_cap && rank_cap < rank_limit &&
              prev_residual > opts.guard_tol) {
         rank_cap = std::min(rank_limit, 2 * rank_cap);
         ++out.rank_escapes;
@@ -252,7 +251,7 @@ Guarded guarded_row_id(const BlockAccessor& acc, const std::vector<index_t>& row
     // growth round barely moved the residual (more columns will not help;
     // more rank will) or the sample cannot grow any further. Escalate the
     // cap and recompress the existing sample before spending more samples.
-    if (escape && out.id.rank >= rank_cap && rank_cap < rank_limit &&
+    if (out.id.rank >= rank_cap && rank_cap < rank_limit &&
         ((out.growths > 0 && out.residual > 0.5 * prev_residual) ||
          out.samples >= cap)) {
       rank_cap = std::min(rank_limit, 2 * rank_cap);
@@ -382,7 +381,7 @@ HSSBuildDag emit_hss_build_dag(const BlockAccessor& acc, const HSSOptions& opts,
   // Leaf level: diagonal blocks + guarded shared row bases (Eq. 2).
   for (index_t i = 0; i < st.h.num_nodes(L); ++i) {
     const auto& nd = st.h.node(L, i);
-    const std::string tag = "(" + std::to_string(L) + "," + std::to_string(i) + ")";
+    const std::string tag = rt::node_tag(L, i);
     const index_t ii = i;
     graph.insert_task(
         "COMPRESS" + tag, "compress",
@@ -420,7 +419,7 @@ HSSBuildDag emit_hss_build_dag(const BlockAccessor& acc, const HSSOptions& opts,
   // Internal levels: transfer bases (children skeletons), then couplings.
   for (int l = L - 1; l >= 1; --l) {
     for (index_t p = 0; p < st.h.num_nodes(l); ++p) {
-      const std::string tag = "(" + std::to_string(l) + "," + std::to_string(p) + ")";
+      const std::string tag = rt::node_tag(l, p);
       const int li = l;
       const index_t pi = p;
       graph.insert_task(
@@ -485,7 +484,7 @@ HSSBuildDag emit_hss_build_dag(const BlockAccessor& acc, const HSSOptions& opts,
   // Upper pairs: skeleton-compressed R̄_j A(sk_j, sk_i) R̄_iᵀ.
   for (int l = L; l >= 1; --l) {
     for (index_t t = 0; t < st.h.num_pairs(l); ++t) {
-      const std::string tag = "(" + std::to_string(l) + "," + std::to_string(t) + ")";
+      const std::string tag = rt::node_tag(l, t);
       const int li = l;
       const index_t tt = t;
       const bool leaf = l == L;

@@ -54,32 +54,12 @@ Domain circle2d(index_t n) {
   return d;
 }
 
-Domain line1d(index_t n) {
-  HATRIX_CHECK(n > 0, "line1d needs n > 0");
-  Domain d;
-  d.dim = 1;
-  const double h = n > 1 ? 1.0 / static_cast<double>(n - 1) : 0.0;
-  d.points.reserve(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i)
-    d.points.push_back(Point{{static_cast<double>(i) * h, 0.0, 0.0}});
-  return d;
-}
-
 Domain random2d(index_t n, Rng& rng) {
   Domain d;
   d.dim = 2;
   d.points.reserve(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i)
     d.points.push_back(Point{{rng.uniform(), rng.uniform(), 0.0}});
-  return d;
-}
-
-Domain random3d(index_t n, Rng& rng) {
-  Domain d;
-  d.dim = 3;
-  d.points.reserve(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i)
-    d.points.push_back(Point{{rng.uniform(), rng.uniform(), rng.uniform()}});
   return d;
 }
 

@@ -4,7 +4,7 @@
 ///
 /// The paper evaluates every implementation on a uniform 2D grid geometry
 /// (Sec. 5); we provide that plus the other standard BEM/geostatistics
-/// layouts (line, circle boundary, random clouds, 3D grid) so examples can
+/// layouts (circle boundary, random 2D clouds, 3D grid) so examples can
 /// exercise realistic scenarios.
 
 #include <array>
@@ -47,13 +47,7 @@ Domain grid3d(index_t n);
 /// n equispaced points on the unit circle (a 2D BEM boundary).
 Domain circle2d(index_t n);
 
-/// n equispaced points on the unit interval (1D test geometry).
-Domain line1d(index_t n);
-
 /// n uniform random points in the unit square.
 Domain random2d(index_t n, Rng& rng);
-
-/// n uniform random points in the unit cube.
-Domain random3d(index_t n, Rng& rng);
 
 }  // namespace hatrix::geom

@@ -5,7 +5,7 @@
 /// Typical flow:
 ///   1. geometry  -> geom::grid2d / circle2d / random2d + geom::ClusterTree
 ///   2. operator  -> kernels::make_kernel + kernels::KernelMatrix
-///   3. compress  -> fmt::build_hss (or build_blr2 / build_blr)
+///   3. compress  -> fmt::build_hss (or build_blr for the BLR baseline)
 ///   4. factorize -> ulv::HSSULV::factorize (O(N))
 ///   5. solve     -> factor.solve(b) / solve_refined(b)
 ///
@@ -25,7 +25,6 @@
 #include "distsim/network_model.hpp"
 #include "format/accessor.hpp"
 #include "format/blr.hpp"
-#include "format/blr2.hpp"
 #include "format/hss.hpp"
 #include "format/hss_builder.hpp"
 #include "geometry/cluster_tree.hpp"
@@ -45,8 +44,6 @@
 #include "runtime/task_graph.hpp"
 #include "runtime/thread_pool_executor.hpp"
 #include "runtime/trace.hpp"
-#include "ulv/blr2_ulv.hpp"
-#include "ulv/blr2_ulv_tasks.hpp"
 #include "ulv/hss_solve_tasks.hpp"
 #include "ulv/hss_ulv.hpp"
 #include "ulv/hss_ulv_tasks.hpp"

@@ -39,14 +39,12 @@ std::size_t SolverKeyHash::operator()(const SolverKey& k) const {
   std::uint64_t h = std::hash<std::string>{}(k.kernel);
   h = mix(h, k.geometry);
   h = mix(h, static_cast<std::uint64_t>(k.n));
-  h = mix(h, std::hash<std::string>{}(k.admissibility));
   h = mix(h, static_cast<std::uint64_t>(k.leaf_size));
   h = mix(h, static_cast<std::uint64_t>(k.max_rank));
   h = mix(h, bits(k.tol));
   h = mix(h, bits(k.guard_tol));
   h = mix(h, static_cast<std::uint64_t>(k.sample_cols));
   h = mix(h, static_cast<std::uint64_t>(k.max_sample_cols));
-  h = mix(h, static_cast<std::uint64_t>(k.rank_escape));
   h = mix(h, k.seed);
   h = mix(h, std::hash<std::string>{}(k.precision));
   return static_cast<std::size_t>(h);
@@ -58,14 +56,12 @@ SolverKey make_solver_key(const std::string& kernel_id,
   return SolverKey{.kernel = kernel_id,
                    .geometry = geometry_fingerprint(points),
                    .n = static_cast<la::index_t>(points.size()),
-                   .admissibility = "hss-weak",
                    .leaf_size = opts.leaf_size,
                    .max_rank = opts.max_rank,
                    .tol = opts.tol,
                    .guard_tol = opts.guard_tol,
                    .sample_cols = opts.sample_cols,
                    .max_sample_cols = opts.max_sample_cols,
-                   .rank_escape = opts.rank_escape,
                    .seed = opts.seed,
                    .precision = fmt::precision_name(opts.precision)};
 }

@@ -11,8 +11,8 @@
 /// factorization bit-for-bit:
 ///
 ///   kernel id (name + parameters + nugget) x geometry fingerprint x
-///   admissibility x HSSOptions (leaf size, rank cap, tolerances, sample
-///   size and cap, rank escape, sampling seed, storage precision).
+///   HSSOptions (leaf size, rank cap, tolerances, sample size and cap,
+///   sampling seed, storage precision).
 ///
 /// Construction is deterministic given that key (per-node RNG streams), so
 /// two requests with equal keys would produce identical factorizations —
@@ -54,14 +54,12 @@ struct SolverKey {
   std::string kernel;
   std::uint64_t geometry = 0;      ///< geometry_fingerprint of the ordered points
   la::index_t n = 0;               ///< matrix dimension
-  std::string admissibility = "hss-weak";  ///< structure variant
   la::index_t leaf_size = 0;
   la::index_t max_rank = 0;
   double tol = 0.0;
   double guard_tol = 0.0;
   la::index_t sample_cols = 0;
   la::index_t max_sample_cols = 0;
-  bool rank_escape = true;
   std::uint64_t seed = 0;
   /// Storage precision of the built matrix's low-rank data
   /// (fmt::precision_name): "fp64" or "mixed-fp32". Factorizations of the

@@ -62,15 +62,6 @@ void Matrix::demote_storage() {
   data_.shrink_to_fit();
 }
 
-void Matrix::promote_storage() {
-  if (data32_.empty()) return;
-  data_.resize(data32_.size());
-  for (std::size_t i = 0; i < data32_.size(); ++i)
-    data_[i] = static_cast<double>(data32_[i]);
-  data32_.clear();
-  data32_.shrink_to_fit();
-}
-
 Matrix Matrix::f64_copy() const {
   Matrix out(rows_, cols_);
   if (is_f32()) {

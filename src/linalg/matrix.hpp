@@ -158,7 +158,6 @@ class Matrix {
   }
   ~Matrix() = default;
 
-  static Matrix zeros(index_t r, index_t c) { return Matrix(r, c); }
   static Matrix identity(index_t n);
   /// i.i.d. standard normal entries.
   static Matrix random_normal(Rng& rng, index_t r, index_t c);
@@ -210,9 +209,6 @@ class Matrix {
   /// store (the FP64 buffer is freed). No-op on empty or already-demoted
   /// matrices. Deterministic: round-to-nearest per entry, no arithmetic.
   void demote_storage();
-  /// Restore an FP64 backing store in place (exact widening). No-op unless
-  /// demoted.
-  void promote_storage();
   /// FP64 copy of the contents regardless of storage precision.
   [[nodiscard]] Matrix f64_copy() const;
 

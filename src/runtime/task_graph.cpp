@@ -4,6 +4,17 @@
 
 namespace hatrix::rt {
 
+std::string node_tag(int level, std::int64_t index) {
+  // Appended piecewise: GCC 12 at -O3 flags the equivalent `"(" + ... + ")"`
+  // chain with a false-positive -Wrestrict.
+  std::string tag = "(";
+  tag += std::to_string(level);
+  tag += ',';
+  tag += std::to_string(index);
+  tag += ')';
+  return tag;
+}
+
 DataId TaskGraph::register_data(std::string name, std::int64_t bytes, int owner) {
   const DataId id = static_cast<DataId>(data_.size());
   data_.push_back({id, std::move(name), bytes, owner, false, false});
@@ -24,11 +35,6 @@ void TaskGraph::mark_output(DataId d) {
 void TaskGraph::set_owner(DataId d, int owner) {
   HATRIX_CHECK(d >= 0 && d < static_cast<DataId>(data_.size()), "bad data id");
   data_[static_cast<std::size_t>(d)].owner = owner;
-}
-
-void TaskGraph::set_bytes(DataId d, std::int64_t bytes) {
-  HATRIX_CHECK(d >= 0 && d < static_cast<DataId>(data_.size()), "bad data id");
-  data_[static_cast<std::size_t>(d)].bytes = bytes;
 }
 
 const DataHandle& TaskGraph::data(DataId d) const {

@@ -77,6 +77,10 @@ struct Task {
                      ///< tile-Cholesky step)
 };
 
+/// "(level,index)": the tree-node suffix of the HSS task and data names,
+/// e.g. the "(2,1)" of "diag(2,1)".
+std::string node_tag(int level, std::int64_t index);
+
 /// DAG built by sequential task insertion, PaRSEC-DTD style.
 class TaskGraph {
  public:
@@ -85,8 +89,6 @@ class TaskGraph {
 
   /// Reassign the owner process of a block (set by distribution policies).
   void set_owner(DataId d, int owner);
-  /// Update the payload size of a block (set by distribution policies).
-  void set_bytes(DataId d, std::int64_t bytes);
 
   /// Declare a block pre-initialized before the graph runs (a seeded panel,
   /// a block of the already-built matrix): dag_dataflow accepts reads of it

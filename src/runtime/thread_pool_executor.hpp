@@ -94,8 +94,6 @@ class ThreadPoolExecutor {
   /// else on in debug builds). Independent of the release schedule: that is
   /// consumed whenever the graph has a release hook installed.
   void set_analyze_dag(bool enabled) { analyze_dag_ = enabled; }
-  /// Whether run() runs the dataflow pass before executing the graph.
-  [[nodiscard]] bool analyze_dag_enabled() const { return analyze_dag_; }
 
  private:
   int num_workers_;

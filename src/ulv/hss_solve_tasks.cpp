@@ -43,7 +43,7 @@ HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,
   std::vector<std::vector<rt::DataId>> sol_d(static_cast<std::size_t>(L) + 1);
   for (int l = 0; l <= L; ++l) {
     for (index_t i = 0; i < a.num_nodes(l); ++i) {
-      const std::string tag = "(" + std::to_string(l) + "," + std::to_string(i) + ")";
+      const std::string tag = rt::node_tag(l, i);
       // Panel row count: leaf panels span the node's rows, internal panels
       // hold the children's gathered skeleton rows.
       const index_t rows =
@@ -94,7 +94,7 @@ HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,
   for (int l = L; l >= 1; --l) {
     const int phase = L - l;
     for (index_t i = 0; i < a.num_nodes(l); ++i) {
-      const std::string tag = "(" + std::to_string(l) + "," + std::to_string(i) + ")";
+      const std::string tag = rt::node_tag(l, i);
       const int li = l;
       const index_t ii = i;
       const auto& f = factor.factor(l, i);
@@ -114,7 +114,7 @@ HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,
           l, phase);
     }
     for (index_t t = 0; t < a.num_pairs(l); ++t) {
-      const std::string tag = "(" + std::to_string(l) + "," + std::to_string(t) + ")";
+      const std::string tag = rt::node_tag(l, t);
       const int li = l;
       const index_t tt = t;
       graph.insert_task(
@@ -158,7 +158,7 @@ HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,
   for (int l = 1; l <= L; ++l) {
     const int phase = L + l;
     for (index_t i = 0; i < a.num_nodes(l); ++i) {
-      const std::string tag = "(" + std::to_string(l) + "," + std::to_string(i) + ")";
+      const std::string tag = rt::node_tag(l, i);
       const int li = l;
       const index_t ii = i;
       const auto& f = factor.factor(l, i);

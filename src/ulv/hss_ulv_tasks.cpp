@@ -38,7 +38,7 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
     auto& sd = dag.schur_data[static_cast<std::size_t>(l)];
     for (index_t i = 0; i < a.num_nodes(l); ++i) {
       const auto& nd = a.node(l, i);
-      const std::string tag = "(" + std::to_string(l) + "," + std::to_string(i) + ")";
+      const std::string tag = rt::node_tag(l, i);
       // The working diagonal at level l for internal nodes is (k0+k1)^2; at
       // the leaves it is the dense leaf block.
       index_t m = nd.block_size();
@@ -151,7 +151,7 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
       const index_t m = (l < L)
                             ? a.node(l + 1, 2 * i).rank + a.node(l + 1, 2 * i + 1).rank
                             : nd.block_size();
-      const std::string tag = "(" + std::to_string(l) + "," + std::to_string(i) + ")";
+      const std::string tag = rt::node_tag(l, i);
       auto stp = dag.state;
       const int li = l;
       const index_t ii = i;
@@ -202,7 +202,7 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
     }
 
     for (index_t t = 0; t < a.num_pairs(l); ++t) {
-      const std::string tag = "(" + std::to_string(l) + "," + std::to_string(t) + ")";
+      const std::string tag = rt::node_tag(l, t);
       auto stp = dag.state;
       const int li = l;
       const index_t tt = t;

@@ -1,11 +1,12 @@
 #pragma once
 /// \file ulv_common.hpp
-/// \brief Shared pieces of the BLR²-ULV and HSS-ULV factorizations.
+/// \brief Per-node pieces of the HSS-ULV factorization and solve.
 ///
-/// Both algorithms repeat the same per-node step (Sec. 3, Eq. 7-12):
-/// rotate the diagonal block by the full basis U_F = [Uᴿ Uˢ], partially
-/// Cholesky-factorize the redundant (RR) part, and leave a Schur-complement
-/// skeleton (SS) block for the next level / merge step.
+/// Every level of the HSS-ULV repeats the single-level BLR²-ULV step of
+/// Alg. 1 (Sec. 3, Eq. 7-12) at each node: rotate the diagonal block by the
+/// full basis U_F = [Uᴿ Uˢ], partially Cholesky-factorize the redundant (RR)
+/// part, and leave a Schur-complement skeleton (SS) block for the merge
+/// step.
 
 #include "common/error.hpp"
 #include "linalg/matrix.hpp"
@@ -51,7 +52,7 @@ DiagProductResult diag_product(la::ConstMatrixView diag, la::ConstMatrixView bas
 
 /// A ULV pivot block (a node's redundant RR block, or the root block) is not
 /// positive definite: the compressed operator is not SPD. Names the node;
-/// the root block is (0, 0), and BLR² blocks are level 1.
+/// the root block is (0, 0).
 class PivotError : public Error {
  public:
   PivotError(int level, index_t node, const std::string& detail);

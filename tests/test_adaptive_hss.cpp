@@ -125,9 +125,8 @@ TEST(GuardedBuild, TypedErrorPropagatesThroughExecutor) {
 TEST(GuardedBuild, RankEscapeLiftsRankPastCapWhenFloorBinds) {
   // max_rank far below what the matern blocks need: the probe residual pins
   // at the rank-truncation floor no matter how many columns are sampled.
-  // With the escape enabled the guard raises the offending nodes' rank caps
-  // and the build succeeds; with it disabled the same configuration runs the
-  // sample to its cap and throws.
+  // The guard raises the offending nodes' rank caps and the build succeeds
+  // instead of running the sample to its cap and throwing.
   Problem p(2048, 256, "matern", 1e-4, /*scattered=*/true);
   fmt::KernelAccessor acc(*p.km);
   const fmt::HSSOptions opts{.leaf_size = 256, .max_rank = 20,
@@ -145,10 +144,6 @@ TEST(GuardedBuild, RankEscapeLiftsRankPastCapWhenFloorBinds) {
   // The escaped build must actually deliver guard-level accuracy.
   Matrix a = p.km->dense();
   EXPECT_LT(la::rel_error(a.view(), h.dense().view()), 1e-3);
-
-  fmt::HSSOptions no_escape = opts;
-  no_escape.rank_escape = false;
-  EXPECT_THROW(fmt::build_hss(acc, no_escape), fmt::BasisUnderResolvedError);
 }
 
 TEST(BuildDag, StructureMatchesTree) {

@@ -7,21 +7,22 @@
 #include <vector>
 
 #include "format/accessor.hpp"
-#include "format/blr2.hpp"
+#include "format/hss_builder.hpp"
 #include "geometry/cluster_tree.hpp"
 #include "hatrix/drivers.hpp"
 #include "kernels/kernel_matrix.hpp"
 #include "kernels/kernels.hpp"
 #include "linalg/norms.hpp"
-#include "ulv/blr2_ulv.hpp"
+#include "ulv/hss_ulv.hpp"
 
 namespace hatrix {
 namespace {
 
-// kernel matrix -> BLR2 compress -> ULV factor -> solve, residual against the
-// *true* (uncompressed) kernel matrix. leaf_size == max_rank makes the BLR2
-// representation exact, so the only error left is factorization roundoff.
-TEST(BuildSanity, KernelToBlr2UlvSolveResidualSmall) {
+// kernel matrix -> HSS compress -> ULV factor -> solve, residual against the
+// *true* (uncompressed) kernel matrix. max_rank = n/2 makes the HSS
+// representation exact at every level, so the only error left is
+// factorization roundoff.
+TEST(BuildSanity, KernelToHssUlvSolveResidualSmall) {
   const la::index_t n = 512;
   geom::Domain domain = geom::grid2d(n);
   geom::ClusterTree tree(domain, 64);
@@ -29,8 +30,8 @@ TEST(BuildSanity, KernelToBlr2UlvSolveResidualSmall) {
   kernels::KernelMatrix km(*kernel, tree.points());
 
   fmt::KernelAccessor acc(km);
-  auto m = fmt::build_blr2(acc, {.leaf_size = 64, .max_rank = 64, .tol = 0.0});
-  auto f = ulv::BLR2ULV::factorize(m);
+  auto h = fmt::build_hss(acc, {.leaf_size = 64, .max_rank = n / 2, .tol = 0.0});
+  auto f = ulv::HSSULV::factorize(h);
 
   Rng rng(2023);
   std::vector<double> b = rng.normal_vector(n);

@@ -16,8 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "format/blr2.hpp"
-
 #include "blrchol/blr_cholesky_tasks.hpp"
 #include "common/timer.hpp"
 #include "distsim/des.hpp"
@@ -29,7 +27,6 @@
 #include "kernels/kernels.hpp"
 #include "runtime/dag_dataflow.hpp"
 #include "runtime/thread_pool_executor.hpp"
-#include "ulv/blr2_ulv_tasks.hpp"
 #include "ulv/hss_solve_tasks.hpp"
 #include "ulv/hss_ulv_tasks.hpp"
 
@@ -358,16 +355,6 @@ TEST(DagDataflow, CostingDagsAnalyzeClean) {
   (void)blrchol::emit_dense_cholesky_dag({}, 1024, 128, dense_graph,
                                          /*with_work=*/false);
   EXPECT_TRUE(rt::analyze_dag(dense_graph).warnings.empty());
-}
-
-TEST(DagDataflow, Blr2UlvDagAnalyzesClean) {
-  Problem p(512, 128);
-  fmt::HSSOptions opts{.leaf_size = 128, .max_rank = 16, .tol = 0.0,
-                       .sample_cols = 64};
-  fmt::BLR2Matrix a = fmt::build_blr2(*p.acc, opts);
-  rt::TaskGraph g;
-  (void)ulv::emit_blr2_ulv_dag(a, g, /*with_work=*/false);
-  EXPECT_TRUE(rt::analyze_dag(g).warnings.empty());
 }
 
 // ----------------------------------------------- per-rank usage vs distsim

@@ -1,4 +1,4 @@
-// Tests for the matrix formats: HSS (nested bases), BLR2 (shared bases),
+// Tests for the matrix formats: HSS (nested bases) and
 // BLR (flat tiles) — construction accuracy, matvec consistency, structure
 // invariants, and the sampled (matrix-free) construction path.
 #include <gtest/gtest.h>
@@ -7,7 +7,6 @@
 
 #include "format/accessor.hpp"
 #include "format/blr.hpp"
-#include "format/blr2.hpp"
 #include "format/hss.hpp"
 #include "format/hss_builder.hpp"
 #include "geometry/cluster_tree.hpp"
@@ -189,46 +188,6 @@ TEST(Hss, MemoryBytesIsLinearish) {
   auto h2 = build_hss(a2, opts);
   EXPECT_LT(static_cast<double>(h2.memory_bytes()),
             2.8 * static_cast<double>(h1.memory_bytes()));
-}
-
-TEST(Blr2, DenseReconstruction) {
-  Problem p(1024, 128);
-  KernelAccessor acc(*p.km);
-  BLR2Matrix m = build_blr2(acc, {.leaf_size = 128, .max_rank = 60, .tol = 0.0});
-  EXPECT_EQ(m.num_blocks(), 8);
-  Matrix a = p.km->dense();
-  EXPECT_LT(la::rel_error(a.view(), m.dense().view()), 1e-5);
-}
-
-TEST(Blr2, MatvecMatchesDense) {
-  Problem p(640, 128, "matern");
-  KernelAccessor acc(*p.km);
-  BLR2Matrix m = build_blr2(acc, {.leaf_size = 128, .max_rank = 40, .tol = 0.0});
-  Rng rng(62);
-  std::vector<double> x = rng.normal_vector(640);
-  std::vector<double> y;
-  m.matvec(x, y);
-  Matrix rec = m.dense();
-  std::vector<double> y_ref(640, 0.0);
-  la::gemv(1.0, rec.view(), la::Trans::No, x.data(), 0.0, y_ref.data());
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < 640; ++i) {
-    num += (y[i] - y_ref[i]) * (y[i] - y_ref[i]);
-    den += y_ref[i] * y_ref[i];
-  }
-  EXPECT_LT(std::sqrt(num / den), 1e-12);
-}
-
-TEST(Blr2, BasesOrthonormal) {
-  Problem p(512, 64);
-  KernelAccessor acc(*p.km);
-  BLR2Matrix m = build_blr2(acc, {.leaf_size = 64, .max_rank = 20, .tol = 0.0});
-  for (index_t i = 0; i < m.num_blocks(); ++i) {
-    const auto& nd = m.node(i);
-    Matrix id = la::matmul(nd.basis.view(), nd.basis.view(), la::Trans::Yes,
-                           la::Trans::No);
-    EXPECT_LT(la::rel_error(Matrix::identity(nd.rank).view(), id.view()), 1e-12);
-  }
 }
 
 TEST(Blr, AdaptiveRankReconstruction) {

@@ -1,4 +1,4 @@
-// The blocked multi-RHS solve paths (HSS-ULV, BLR2-ULV, and the panel solve
+// The blocked multi-RHS solve paths (HSS-ULV and the panel solve
 // DAG) against the per-column oracle: the blocked code applies the same
 // per-column operation sequence through gemm/trsm panels, so every column
 // must be BIT-identical to a single-RHS solve — not merely close.
@@ -10,12 +10,10 @@
 
 #include "common/rng.hpp"
 #include "format/accessor.hpp"
-#include "format/blr2.hpp"
 #include "format/hss_builder.hpp"
 #include "geometry/cluster_tree.hpp"
 #include "kernels/kernel_matrix.hpp"
 #include "kernels/kernels.hpp"
-#include "ulv/blr2_ulv.hpp"
 #include "ulv/hss_solve_tasks.hpp"
 #include "ulv/hss_ulv.hpp"
 
@@ -97,23 +95,6 @@ TEST(BlockedSolve, EmptyPanel) {
   Matrix x = f.solve(Matrix(256, 0));
   EXPECT_EQ(x.rows(), 256);
   EXPECT_EQ(x.cols(), 0);
-}
-
-TEST(BlockedSolve, Blr2PanelMatchesVectorSolves) {
-  Problem p(1024, 128);
-  fmt::KernelAccessor acc(*p.km);
-  auto m = fmt::build_blr2(acc, {.leaf_size = 128, .max_rank = 40, .tol = 0.0});
-  auto f = BLR2ULV::factorize(m);
-  Rng rng(94);
-  Matrix b = Matrix::random_normal(rng, 1024, 11);
-  Matrix x = f.solve(b);
-  for (index_t j = 0; j < 11; ++j) {
-    std::vector<double> bj(1024);
-    for (index_t i = 0; i < 1024; ++i) bj[static_cast<std::size_t>(i)] = b(i, j);
-    std::vector<double> xj = f.solve(bj);
-    for (index_t i = 0; i < 1024; ++i)
-      ASSERT_EQ(x(i, j), xj[static_cast<std::size_t>(i)]) << "col " << j;
-  }
 }
 
 TEST(BlockedSolve, SolveDagPanelMatchesBlockedSolve) {

@@ -76,26 +76,20 @@ TEST(SolverKey, EqualityAndHashTrackAllFields) {
 }
 
 TEST(SolverKey, GuardOptionsThatChangeTheBuildAreKeyed) {
-  // rank_escape and max_sample_cols change which basis the guarded build
-  // settles on, so a request differing only in one of them must not hit an
-  // entry built with the other value.
+  // max_sample_cols changes which basis the guarded build settles on, so a
+  // request differing only in it must not hit an entry built with another
+  // value.
   Rng rng(24);
   geom::Domain d = geom::random2d(64, rng);
   const fmt::HSSOptions base{.leaf_size = 32, .max_rank = 16, .sample_cols = 16,
                              .guard_tol = 1e-6};
   const SolverKey a = make_solver_key("yukawa", d.points, base);
 
-  fmt::HSSOptions no_escape = base;
-  no_escape.rank_escape = false;
-  const SolverKey b = make_solver_key("yukawa", d.points, no_escape);
-  EXPECT_FALSE(a == b);
-  EXPECT_NE(SolverKeyHash{}(a), SolverKeyHash{}(b));
-
   fmt::HSSOptions capped = base;
   capped.max_sample_cols = 48;
-  const SolverKey c = make_solver_key("yukawa", d.points, capped);
-  EXPECT_FALSE(a == c);
-  EXPECT_NE(SolverKeyHash{}(a), SolverKeyHash{}(c));
+  const SolverKey b = make_solver_key("yukawa", d.points, capped);
+  EXPECT_FALSE(a == b);
+  EXPECT_NE(SolverKeyHash{}(a), SolverKeyHash{}(b));
 }
 
 TEST(SolverCache, MissThenHitReturnsSameOperator) {

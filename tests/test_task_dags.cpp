@@ -1,5 +1,5 @@
-// Tests for the task-decomposed factorizations: the HSS-ULV DAG (Fig. 8),
-// the BLR²-ULV DAG (Alg. 1) and the tile-Cholesky DAGs (Fig. 6 / LORAPO),
+// Tests for the task-decomposed factorizations: the HSS-ULV DAG (Fig. 8)
+// and the tile-Cholesky DAGs (Fig. 6 / LORAPO),
 // executed through both the asynchronous and fork-join executors, against
 // the sequential entry points (the same DAGs on one worker).
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 
 #include "blrchol/blr_cholesky_tasks.hpp"
 #include "format/accessor.hpp"
-#include "format/blr2.hpp"
 #include "format/hss_builder.hpp"
 #include "geometry/cluster_tree.hpp"
 #include "kernels/kernel_matrix.hpp"
@@ -16,7 +15,6 @@
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
 #include "runtime/thread_pool_executor.hpp"
-#include "ulv/blr2_ulv_tasks.hpp"
 #include "ulv/hss_ulv_tasks.hpp"
 
 namespace hatrix {
@@ -192,57 +190,6 @@ TEST(BlrCholDag, DeepTrailingUpdateDependencies) {
   (void)blrchol::emit_blr_cholesky_dag(blr, graph, false);
   // p = 16 tiles: critical path >= 3 p - 2 (POTRF->TRSM->SYRK/GEMM per step).
   EXPECT_GE(graph.critical_path_length(), 3 * 16 - 2);
-}
-
-class Blr2DagWorkers : public ::testing::TestWithParam<int> {};
-
-TEST_P(Blr2DagWorkers, MatchesSequentialAlg1) {
-  const int workers = GetParam();
-  Problem p(1024, 128, "laplace2d");
-  fmt::KernelAccessor acc(*p.km);
-  auto m = fmt::build_blr2(acc, {.leaf_size = 128, .max_rank = 40, .tol = 0.0});
-
-  rt::TaskGraph graph;
-  auto dag = ulv::emit_blr2_ulv_dag(m, graph, /*with_work=*/true);
-  rt::ThreadPoolExecutor ex(workers);
-  auto stats = ex.run(graph);
-  EXPECT_EQ(rt::validate_trace(graph, stats), "");
-  auto f_tasks = ulv::extract_blr2_factorization(dag);
-  auto f_seq = ulv::BLR2ULV::factorize(m);
-
-  // The sequential factorization is the same DAG on one worker: bit-identical.
-  Rng rng(402);
-  std::vector<double> b = rng.normal_vector(1024);
-  EXPECT_EQ(f_seq.solve(b), f_tasks.solve(b));
-}
-
-INSTANTIATE_TEST_SUITE_P(Workers, Blr2DagWorkers, ::testing::Values(1, 4));
-
-TEST(Blr2Dag, TaskCountIsLinearInBlocks) {
-  Problem p(2048, 256);
-  fmt::KernelAccessor acc(*p.km);
-  auto m = fmt::build_blr2(
-      acc, {.leaf_size = 256, .max_rank = 20, .tol = 0.0, .sample_cols = 200});
-  rt::TaskGraph graph;
-  (void)ulv::emit_blr2_ulv_dag(m, graph, false);
-  EXPECT_EQ(graph.num_tasks(), 2 * m.num_blocks() + 2);
-}
-
-TEST(Blr2Dag, MergeBottleneckGrowsWithN) {
-  // Alg. 1's defect (Sec. 3.1): the final dense Cholesky is of size
-  // (N/leaf)*rank, so its cost grows cubically with N — the HSS-ULV's merge
-  // keeps it constant-size per level instead.
-  auto root_dim = [](index_t n) {
-    Problem p(n, 256, "yukawa");
-    fmt::KernelAccessor acc(*p.km);
-    auto m = fmt::build_blr2(
-        acc, {.leaf_size = 256, .max_rank = 30, .tol = 0.0, .sample_cols = 200});
-    rt::TaskGraph graph;
-    (void)ulv::emit_blr2_ulv_dag(m, graph, false);
-    // Last task is the merged Cholesky; dims[0] is its dimension.
-    return graph.tasks().back().dims[0];
-  };
-  EXPECT_GE(root_dim(4096), 2 * root_dim(2048) - 2);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
-// Tests for the ULV factorizations (Alg. 1 and Alg. 2): exactness on the
+// Tests for the HSS-ULV factorization (Alg. 2): exactness on the
 // compressed operator, solve accuracy (Eq. 19), SPD rejection, edge cases.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "format/accessor.hpp"
-#include "format/blr2.hpp"
 #include "format/hss_builder.hpp"
 #include "geometry/cluster_tree.hpp"
 #include "kernels/kernel_matrix.hpp"
@@ -14,7 +13,6 @@
 #include "linalg/cholesky.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
-#include "ulv/blr2_ulv.hpp"
 #include "ulv/hss_ulv.hpp"
 
 namespace hatrix::ulv {
@@ -164,6 +162,18 @@ TEST(HssUlv, RejectsIndefiniteMatrix) {
     EXPECT_EQ(e.level(), 0);
     EXPECT_EQ(e.node(), 0);
   }
+  // Rank 16 leaves a redundant block per leaf: leaf 0's partial
+  // factorization, node (2,0), is the first pivot block to fail.
+  auto h16 = fmt::build_hss(acc, {.leaf_size = 64, .max_rank = 16, .tol = 0.0});
+  ASSERT_EQ(h16.max_level(), 2);
+  try {
+    (void)HSSULV::factorize(h16);
+    FAIL() << "expected PivotError";
+  } catch (const PivotError& e) {
+    EXPECT_EQ(e.level(), 2);
+    EXPECT_EQ(e.node(), 0);
+    EXPECT_NE(std::string(e.what()).find("node (2,0)"), std::string::npos);
+  }
 }
 
 TEST(HssUlv, SolveRejectsWrongLength) {
@@ -194,83 +204,6 @@ TEST(HssUlv, SampledConstructionSolvesAccurately) {
   Rng rng(77);
   std::vector<double> b = rng.normal_vector(2048);
   EXPECT_LT(ulv_solve_error(h, f, b), 1e-9);
-}
-
-class Blr2UlvKernels : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(Blr2UlvKernels, SolveMatchesDenseSolveOfCompressedOperator) {
-  Problem p(1024, 128, GetParam());
-  fmt::KernelAccessor acc(*p.km);
-  auto m = fmt::build_blr2(acc, {.leaf_size = 128, .max_rank = 40, .tol = 0.0});
-  auto f = BLR2ULV::factorize(m);
-  Rng rng(78);
-  std::vector<double> b = rng.normal_vector(1024);
-  auto x_ulv = f.solve(b);
-  auto x_ref = dense_reference_solve(m.dense(), b);
-  EXPECT_LT(vec_rel_err(x_ref, x_ulv), 1e-9) << GetParam();
-}
-
-INSTANTIATE_TEST_SUITE_P(PaperKernels, Blr2UlvKernels,
-                         ::testing::Values("laplace2d", "yukawa", "matern"));
-
-TEST(Blr2Ulv, SolveErrorAgainstTrueMatrix) {
-  Problem p(1024, 128, "yukawa");
-  fmt::KernelAccessor acc(*p.km);
-  auto m = fmt::build_blr2(acc, {.leaf_size = 128, .max_rank = 60, .tol = 0.0});
-  auto f = BLR2ULV::factorize(m);
-  Rng rng(79);
-  std::vector<double> b = rng.normal_vector(1024);
-  std::vector<double> ab;
-  m.matvec(b, ab);
-  auto x = f.solve(ab);
-  EXPECT_LT(vec_rel_err(b, x), 1e-10);
-}
-
-TEST(Blr2Ulv, RejectsIndefinite) {
-  Problem p(256, 64, "matern");
-  Matrix a = p.km->dense();
-  for (index_t i = 0; i < a.rows(); ++i) a(i, i) -= 3.0;
-  fmt::DenseAccessor acc(a.view());
-  auto m = fmt::build_blr2(acc, {.leaf_size = 64, .max_rank = 64, .tol = 0.0});
-  // Full-rank blocks pass their (empty) partial factorization; the merged
-  // skeleton block, the root (0,0), is where the pivot fails.
-  EXPECT_THROW(BLR2ULV::factorize(m), Error);
-  auto pivot_at = [](const fmt::BLR2Matrix& mat) -> std::pair<int, index_t> {
-    try {
-      (void)BLR2ULV::factorize(mat);
-    } catch (const PivotError& e) {
-      return {e.level(), e.node()};
-    }
-    return {-1, -1};
-  };
-  EXPECT_EQ(pivot_at(m), std::make_pair(0, index_t{0}));
-  // Rank 16 leaves a redundant block per leaf: block 0's partial
-  // factorization (level 1, node 0) fails first.
-  auto m16 = fmt::build_blr2(acc, {.leaf_size = 64, .max_rank = 16, .tol = 0.0});
-  EXPECT_EQ(pivot_at(m16), std::make_pair(1, index_t{0}));
-}
-
-TEST(Blr2Ulv, HssAndBlr2AgreeOnTwoLevelProblem) {
-  // With leaf = n/2 the HSS has one level: BLR2 with 2 blocks must give the
-  // same compressed operator and the same solution.
-  Problem p(512, 256, "yukawa");
-  fmt::KernelAccessor acc(*p.km);
-  fmt::HSSOptions opts{.leaf_size = 256, .max_rank = 50, .tol = 0.0};
-  auto h = fmt::build_hss(acc, opts);
-  auto m = fmt::build_blr2(acc, opts);
-  ASSERT_EQ(h.max_level(), 1);
-  ASSERT_EQ(m.num_blocks(), 2);
-  auto fh = HSSULV::factorize(h);
-  auto fm = BLR2ULV::factorize(m);
-  Rng rng(80);
-  std::vector<double> b = rng.normal_vector(512);
-  auto xh = fh.solve(b);
-  auto xm = fm.solve(b);
-  // Bases may differ by sign/rotation, but the compressed operators should
-  // approximate the same matrix; compare both against the true solve.
-  auto x_true = dense_reference_solve(p.km->dense(), b);
-  EXPECT_LT(vec_rel_err(x_true, xh), 1e-4);
-  EXPECT_LT(vec_rel_err(x_true, xm), 1e-4);
 }
 
 TEST(UlvCommon, PartialFactorReconstructs) {
