@@ -13,12 +13,14 @@
 //                            [--csv]
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bench_json.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "hatrix/drivers.hpp"
+#include "linalg/blas.hpp"
 
 using namespace hatrix;
 
@@ -48,6 +50,17 @@ int main(int argc, char** argv) {
   TextTable table({"batch", "clients", "solves/s", "blocked (s)", "oracle (s)",
                    "speedup", "max |diff|", "solve err"});
   BenchJson json("solve_throughput");
+  json.row()
+      .add("row", std::string("provenance"))
+      .add("compiler", std::string(__VERSION__))
+      .add("la_backend", std::string(la::backend_name(la::backend())))
+      .add("hardware_concurrency",
+           static_cast<std::int64_t>(std::thread::hardware_concurrency()))
+      .add("kernel", cfg.kernel)
+      .add("leaf", static_cast<std::int64_t>(cfg.leaf_size))
+      .add("rank", static_cast<std::int64_t>(cfg.max_rank))
+      .add("samples", static_cast<std::int64_t>(cfg.sample_cols))
+      .add("solves", static_cast<std::int64_t>(cfg.solves));
 
   for (la::index_t w : widths) {
     for (int c = 1; c <= max_clients; c *= 2) {

@@ -3,7 +3,8 @@
 #   scripts/check.sh        -> configure, build, run ALL test suites, the
 #                              executor sweep, the perf gate and the
 #                              bench_e2e smoke test, then the concurrency
-#                              suite under ThreadSanitizer
+#                              suite under ThreadSanitizer, and print the
+#                              src/ line count
 #   scripts/check.sh fast   -> same, but only suites labeled `fast` (< 60 s)
 #                              and no TSan pass
 set -eu
@@ -70,4 +71,7 @@ if [ "$FULL" = "1" ]; then
     --target concurrency_tests
   ctest --test-dir build-tsan --output-on-failure -L concurrency \
     -j "$(nproc 2>/dev/null || echo 4)"
+
+  # The src/ size the ROADMAP tracks, counted one way: every file under src/.
+  echo "src/ lines: $(find src -type f | xargs wc -l | tail -n 1 | awk '{print $1}')"
 fi

@@ -3,9 +3,25 @@
 #include "blrchol/blr_cholesky_tasks.hpp"
 #include "common/error.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/cholesky.hpp"
 #include "runtime/thread_pool_executor.hpp"
 
 namespace hatrix::blrchol {
+
+TilePivotError::TilePivotError(index_t tile, const std::string& detail)
+    : Error("tile Cholesky pivot tile " + std::to_string(tile) +
+            " is not positive definite: " + detail),
+      tile_(tile) {}
+
+void factor_diag_tile(la::MatrixView a, index_t k) {
+  // la::potrf's only failure on a square tile is a non-positive pivot.
+  HATRIX_CHECK(a.rows == a.cols, "factor_diag_tile: square tile required");
+  try {
+    la::potrf(a);
+  } catch (const Error& e) {
+    throw TilePivotError(k, e.what());
+  }
+}
 
 BLRCholesky BLRCholesky::factorize(const BLRMatrix& a, const BLRCholOptions& opts) {
   // The sequential factorization is the tile DAG on one worker: the same

@@ -9,8 +9,10 @@
 /// LORAPO's critical path heavy (Sec. 4.3) and its complexity O(N^2)
 /// (Table 1).
 
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "format/blr.hpp"
 
 namespace hatrix::blrchol {
@@ -25,12 +27,28 @@ struct BLRCholOptions {
   double tol = 1e-10;       ///< rounded-addition truncation tolerance
 };
 
+/// A diagonal tile of a tile Cholesky (BLR or dense) is not positive
+/// definite at its POTRF step: the operator is not SPD. Names the tile.
+class TilePivotError : public Error {
+ public:
+  TilePivotError(index_t tile, const std::string& detail);
+  [[nodiscard]] index_t tile() const { return tile_; }
+
+ private:
+  index_t tile_;
+};
+
+/// In-place la::potrf of diagonal tile `k`; a failed pivot is rethrown as
+/// TilePivotError.
+void factor_diag_tile(la::MatrixView a, index_t k);
+
 /// Factored form: L in BLR representation (diag tiles dense lower-
 /// triangular, off-diagonal tiles low-rank).
 class BLRCholesky {
  public:
   /// Factorize in a copy of `a`: the emit_blr_cholesky_dag task graph run
-  /// on one worker. Throws if a diagonal tile loses positive definiteness.
+  /// on one worker. Throws TilePivotError naming the first diagonal tile
+  /// that loses positive definiteness.
   static BLRCholesky factorize(const BLRMatrix& a, const BLRCholOptions& opts = {});
 
   /// Wrap an already-factorized BLR matrix (the task-based path: run the

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
 #include "lowrank/compress.hpp"
 
 namespace hatrix::blrchol {
@@ -54,7 +53,8 @@ BLRCholDag emit_blr_cholesky_dag(const BLRMatrix& a, rt::TaskGraph& graph,
 
     graph.insert_task(
         "POTRF(" + std::to_string(k) + ")", "potrf", {bk},
-        with_work ? std::function<void()>([st, k] { la::potrf(st->diag(k).view()); })
+        with_work ? std::function<void()>(
+                        [st, k] { factor_diag_tile(st->diag(k).view(), k); })
                   : std::function<void()>(),
         {{dag.diag_data[static_cast<std::size_t>(k)], rt::Access::ReadWrite}},
         prio + 1, phase);
@@ -167,7 +167,7 @@ DenseCholDag emit_dense_cholesky_dag(la::ConstMatrixView a, la::index_t n,
     graph.insert_task(
         "POTRF(" + std::to_string(k) + ")", "potrf", {ts(k)},
         with_work ? std::function<void()>([st, tb, ts, k] {
-          la::potrf(st->block(tb(k), tb(k), ts(k), ts(k)));
+          factor_diag_tile(st->block(tb(k), tb(k), ts(k), ts(k)), k);
         })
                   : std::function<void()>(),
         {{dag.tile_data[static_cast<std::size_t>(k)][static_cast<std::size_t>(k)],

@@ -2,8 +2,7 @@
 
 #include <cmath>
 
-#include "common/rng.hpp"
-#include "linalg/blas.hpp"
+#include "common/error.hpp"
 
 namespace hatrix::la {
 
@@ -38,23 +37,6 @@ double rel_error(ConstMatrixView a, ConstMatrixView b) {
     }
   if (den == 0.0) return num == 0.0 ? 0.0 : std::sqrt(num);
   return std::sqrt(num / den);
-}
-
-double norm2_estimate(ConstMatrixView a, int iterations) {
-  if (a.rows == 0 || a.cols == 0) return 0.0;
-  Rng rng(7);
-  std::vector<double> x = rng.normal_vector(a.cols);
-  std::vector<double> ax(static_cast<std::size_t>(a.rows), 0.0);
-  double sigma = 0.0;
-  for (int it = 0; it < iterations; ++it) {
-    double nx = norm2(x);
-    if (nx == 0.0) return 0.0;
-    for (auto& v : x) v /= nx;
-    gemv(1.0, a, Trans::No, x.data(), 0.0, ax.data());
-    gemv(1.0, a, Trans::Yes, ax.data(), 0.0, x.data());
-    sigma = std::sqrt(norm2(x));  // ||AᵀA x|| -> sigma^2 after normalization
-  }
-  return sigma;
 }
 
 }  // namespace hatrix::la

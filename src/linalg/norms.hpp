@@ -20,7 +20,4 @@ double norm2(const std::vector<double>& x);
 /// Relative Frobenius distance ||A - B||_F / ||A||_F (0 if both empty).
 double rel_error(ConstMatrixView a, ConstMatrixView b);
 
-/// Two-norm estimate via power iteration on AᵀA (tests / diagnostics).
-double norm2_estimate(ConstMatrixView a, int iterations = 30);
-
 }  // namespace hatrix::la

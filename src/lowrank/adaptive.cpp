@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "linalg/blas.hpp"
-#include "linalg/norms.hpp"
 
 namespace hatrix::lr {
 
@@ -21,15 +20,6 @@ Matrix interp_error(la::ConstMatrixView p, la::ConstMatrixView x,
 }
 
 }  // namespace
-
-double interp_residual(la::ConstMatrixView p, la::ConstMatrixView x,
-                       const std::vector<index_t>& sel) {
-  if (p.rows == 0 || p.cols == 0) return 0.0;
-  const double pn = la::norm_fro(p);
-  if (pn == 0.0) return 0.0;
-  Matrix e = interp_error(p, x, sel);
-  return la::norm_fro(e.view()) / pn;
-}
 
 double interp_residual_maxcol(la::ConstMatrixView p, la::ConstMatrixView x,
                               const std::vector<index_t>& sel) {

@@ -14,15 +14,10 @@
 
 namespace hatrix::lr {
 
-/// Relative residual ||P - X·P(sel, :)||_F / ||P||_F of a row interpolation
-/// (row-ID) evaluated on probe columns P. `x` is the interpolation factor
-/// (P.rows x k) and `sel` the k skeleton row indices; returns 0 for an empty
-/// or zero probe.
-double interp_residual(la::ConstMatrixView p, la::ConstMatrixView x,
-                       const std::vector<index_t>& sel);
-
-/// Largest per-column 2-norm of the interpolation error P - X·P(sel, :)
-/// (absolute, not normalized). A localized miss — one near-field column the
+/// Largest per-column 2-norm of the interpolation error P - X·P(sel, :) of
+/// a row interpolation (row-ID) evaluated on probe columns P, where `x` is
+/// the interpolation factor (P.rows x k) and `sel` the k skeleton row
+/// indices (absolute, not normalized; 0 for an empty probe). A localized miss — one near-field column the
 /// sample never saw — cannot hide in this statistic the way it averages
 /// away in a Frobenius ratio, which is why the guarded HSS builder checks
 /// it against the operator's diagonal scale.

@@ -70,9 +70,6 @@ class ThreadPoolExecutor {
   /// (dag_dataflow's release schedule).
   ExecutionStats run(const TaskGraph& graph, std::exception_ptr* error_out = nullptr);
 
-  /// Worker thread count this executor was built with.
-  [[nodiscard]] int num_workers() const { return num_workers_; }
-
   /// Override the per-task cost that weights the critical path under
   /// Schedule::CriticalPath; pass an empty function to restore
   /// default_task_cost. The other schedules ignore it.

@@ -1,40 +1,106 @@
 #include "ulv/hss_solve_tasks.hpp"
 
+#include <algorithm>
+#include <memory>
+#include <string>
+
 #include "common/error.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 
 namespace hatrix::ulv {
 
-std::vector<double> HSSSolveTaskState::x_col(la::index_t j) const {
-  HATRIX_CHECK(j >= 0 && j < x.cols(), "x_col: column out of range");
-  std::vector<double> out(static_cast<std::size_t>(x.rows()));
-  for (index_t i = 0; i < x.rows(); ++i) out[static_cast<std::size_t>(i)] = x(i, j);
-  return out;
+namespace {
+
+/// Rows of node (l, i)'s RHS and solution panels: a leaf's rows of the
+/// operator, or an internal node's gathered skeleton rows.
+index_t panel_rows(const fmt::HSSMatrix& a, int l, index_t i) {
+  if (l == a.max_level()) return a.node(l, i).block_size();
+  return a.node(l + 1, 2 * i).rank + a.node(l + 1, 2 * i + 1).rank;
 }
 
-HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,
-                               rt::TaskGraph& graph) {
+/// Where node (l, i)'s solution goes: a leaf's rows of the caller's X, or a
+/// fresh skeleton panel of an internal node.
+la::MatrixView solution_panel(HSSSolveState& st, int l, index_t i) {
+  if (l == st.a->max_level()) {
+    const auto& nd = st.a->node(l, i);
+    return st.x.block(nd.begin, 0, nd.block_size(), st.x.cols);
+  }
+  Matrix& s = st.sol[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)];
+  s = Matrix(panel_rows(*st.a, l, i), st.x.cols);
+  return s.view();
+}
+
+}  // namespace
+
+HSSSolveState::HSSSolveState(const HSSULV& f, la::ConstMatrixView b,
+                             la::MatrixView x_out)
+    : factor(&f), a(&f.matrix()), x(x_out) {
+  HATRIX_CHECK(b.rows == a->size() && x.rows == a->size() && x.cols == b.cols,
+               "solve: rhs/solution shape mismatch");
+  const int L = a->max_level();
+  rhs.resize(static_cast<std::size_t>(L) + 1);
+  fwd.resize(static_cast<std::size_t>(L) + 1);
+  sol.resize(static_cast<std::size_t>(L) + 1);
+  for (int l = 0; l <= L; ++l) {
+    const auto nn = static_cast<std::size_t>(a->num_nodes(l));
+    rhs[static_cast<std::size_t>(l)].resize(nn);
+    fwd[static_cast<std::size_t>(l)].resize(nn);
+    sol[static_cast<std::size_t>(l)].resize(nn);
+  }
+  for (index_t i = 0; i < a->num_nodes(L); ++i) {
+    const auto& nd = a->node(L, i);
+    rhs[static_cast<std::size_t>(L)][static_cast<std::size_t>(i)] =
+        Matrix::from_view(b.block(nd.begin, 0, nd.block_size(), b.cols));
+  }
+}
+
+void solve_forward(HSSSolveState& st, int level, index_t i) {
+  const auto li = static_cast<std::size_t>(level);
+  const auto ii = static_cast<std::size_t>(i);
+  st.fwd[li][ii] =
+      forward_step_panel(st.factor->factor(level, i),
+                         la::F64Block(st.a->node(level, i).basis).view(),
+                         st.rhs[li][ii].view());
+}
+
+void solve_gather(HSSSolveState& st, int level, index_t t) {
+  const auto li = static_cast<std::size_t>(level);
+  const Matrix& z0 = st.fwd[li][static_cast<std::size_t>(2 * t)].z_s;
+  const Matrix& z1 = st.fwd[li][static_cast<std::size_t>(2 * t + 1)].z_s;
+  const index_t nrhs = st.x.cols;
+  Matrix up(z0.rows() + z1.rows(), nrhs);
+  if (z0.rows() > 0) la::copy(z0.view(), up.block(0, 0, z0.rows(), nrhs));
+  if (z1.rows() > 0) la::copy(z1.view(), up.block(z0.rows(), 0, z1.rows(), nrhs));
+  st.rhs[li - 1][static_cast<std::size_t>(t)] = std::move(up);
+}
+
+void solve_root(HSSSolveState& st) {
+  la::MatrixView x0 = solution_panel(st, 0, 0);
+  la::copy(st.rhs[0][0].view(), x0);
+  if (x0.rows > 0 && x0.cols > 0) la::potrs(st.factor->root_factor().view(), x0);
+}
+
+void solve_backward(HSSSolveState& st, int level, index_t i) {
+  const auto li = static_cast<std::size_t>(level);
+  const auto ii = static_cast<std::size_t>(i);
+  const NodeFactor& f = st.factor->factor(level, i);
+  const Matrix& parent = st.sol[li - 1][ii / 2];
+  const index_t nrhs = st.x.cols;
+  // Child 2t owns the parent's leading k rows, child 2t+1 the trailing ones.
+  const la::ConstMatrixView xs = i % 2 == 0
+                                     ? parent.block(0, 0, f.k, nrhs)
+                                     : parent.block(parent.rows() - f.k, 0, f.k, nrhs);
+  backward_step_panel(f, la::F64Block(st.a->node(level, i).basis).view(),
+                      st.fwd[li][ii], xs, solution_panel(st, level, i));
+}
+
+void emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,
+                        la::MatrixView x, rt::TaskGraph& graph) {
+  auto stp = std::make_shared<HSSSolveState>(factor, b, x);
   const fmt::HSSMatrix& a = factor.matrix();
-  const index_t n = a.size();
-  HATRIX_CHECK(b.rows == n, "solve dag: rhs row count mismatch");
   const index_t nrhs = b.cols;
   const int L = a.max_level();
-
-  HSSSolveDag dag;
-  dag.state = std::make_shared<HSSSolveTaskState>();
-  auto& st = *dag.state;
-  st.a = &a;
-  st.factor = &factor;
-  st.rhs.resize(static_cast<std::size_t>(L) + 1);
-  st.fwd.resize(static_cast<std::size_t>(L) + 1);
-  st.sol.resize(static_cast<std::size_t>(L) + 1);
-  st.x = Matrix(n, nrhs);
-  for (int l = 0; l <= L; ++l) {
-    st.rhs[static_cast<std::size_t>(l)].resize(static_cast<std::size_t>(a.num_nodes(l)));
-    st.fwd[static_cast<std::size_t>(l)].resize(static_cast<std::size_t>(a.num_nodes(l)));
-    st.sol[static_cast<std::size_t>(l)].resize(static_cast<std::size_t>(a.num_nodes(l)));
-  }
 
   // Data handles per node: the local RHS panel (written by gather), the
   // forward result, and the local solution panel.
@@ -44,13 +110,8 @@ HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,
   for (int l = 0; l <= L; ++l) {
     for (index_t i = 0; i < a.num_nodes(l); ++i) {
       const std::string tag = rt::node_tag(l, i);
-      // Panel row count: leaf panels span the node's rows, internal panels
-      // hold the children's gathered skeleton rows.
-      const index_t rows =
-          l == L ? a.node(l, i).block_size()
-                 : a.node(l + 1, 2 * i).rank + a.node(l + 1, 2 * i + 1).rank;
-      const index_t bytes =
-          8 * std::max<index_t>(rows, 1) * std::max<index_t>(nrhs, 1);
+      const index_t bytes = 8 * std::max<index_t>(panel_rows(a, l, i), 1) *
+                            std::max<index_t>(nrhs, 1);
       rhs_d[static_cast<std::size_t>(l)].push_back(
           graph.register_data("rhs" + tag, bytes));
       fwd_d[static_cast<std::size_t>(l)].push_back(
@@ -58,156 +119,65 @@ HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,
       sol_d[static_cast<std::size_t>(l)].push_back(
           graph.register_data("sol" + tag, bytes));
       if (l == L) {
-        // Leaf RHS panels are seeded from `b` before the graph runs; leaf
-        // solution panels are the rows of the global solution.
+        // Leaf RHS panels are seeded from `b` at emission; leaf solution
+        // panels are the rows of the caller's X.
         graph.mark_input(rhs_d[static_cast<std::size_t>(l)].back());
         graph.mark_output(sol_d[static_cast<std::size_t>(l)].back());
       }
     }
   }
 
-  auto stp = dag.state;
-
-  if (L == 0) {
-    st.x = Matrix::from_view(b);
-    // The lone panel is preloaded with b and solved in place.
-    graph.mark_input(sol_d[0][0]);
-    graph.mark_output(sol_d[0][0]);
-    graph.insert_task(
-        "ROOT_SOLVE", "potrs", {n, nrhs},
-        [stp] {
-          if (stp->x.rows() > 0 && stp->x.cols() > 0)
-            la::potrs(stp->factor->root_factor().view(), stp->x.view());
-        },
-        {{sol_d[0][0], rt::Access::ReadWrite}}, 0, 0);
-    return dag;
-  }
-
-  // Seed leaf RHS panels.
-  for (index_t i = 0; i < a.num_nodes(L); ++i) {
-    const auto& nd = a.node(L, i);
-    st.rhs[static_cast<std::size_t>(L)][static_cast<std::size_t>(i)] =
-        Matrix::from_view(b.block(nd.begin, 0, nd.block_size(), nrhs));
-  }
-
   // Forward sweep + gathers, leaves to root.
   for (int l = L; l >= 1; --l) {
+    const auto li = static_cast<std::size_t>(l);
     const int phase = L - l;
     for (index_t i = 0; i < a.num_nodes(l); ++i) {
+      const auto ii = static_cast<std::size_t>(i);
       const std::string tag = rt::node_tag(l, i);
-      const int li = l;
-      const index_t ii = i;
       const auto& f = factor.factor(l, i);
       graph.insert_task(
           "FORWARD" + tag, "fwd_solve", {f.m, f.k},
-          [stp, li, ii] {
-            auto& lvl_rhs = stp->rhs[static_cast<std::size_t>(li)];
-            stp->fwd[static_cast<std::size_t>(li)][static_cast<std::size_t>(ii)] =
-                forward_step_panel(stp->factor->factor(li, ii),
-                                   la::F64Block(stp->a->node(li, ii).basis).view(),
-                                   lvl_rhs[static_cast<std::size_t>(ii)].view());
-          },
-          {{rhs_d[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)],
-            rt::Access::Read},
-           {fwd_d[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)],
-            rt::Access::Write}},
+          [stp, l, i] { solve_forward(*stp, l, i); },
+          {{rhs_d[li][ii], rt::Access::Read}, {fwd_d[li][ii], rt::Access::Write}},
           l, phase);
     }
     for (index_t t = 0; t < a.num_pairs(l); ++t) {
+      const auto tt = static_cast<std::size_t>(t);
       const std::string tag = rt::node_tag(l, t);
-      const int li = l;
-      const index_t tt = t;
       graph.insert_task(
           "GATHER" + tag, "gather",
           {a.node(l, 2 * t).rank, a.node(l, 2 * t + 1).rank},
-          [stp, li, tt] {
-            const Matrix& z0 =
-                stp->fwd[static_cast<std::size_t>(li)][static_cast<std::size_t>(2 * tt)].z_s;
-            const Matrix& z1 =
-                stp->fwd[static_cast<std::size_t>(li)][static_cast<std::size_t>(2 * tt + 1)].z_s;
-            Matrix up(z0.rows() + z1.rows(), stp->x.cols());
-            if (z0.rows() > 0)
-              la::copy(z0.view(), up.block(0, 0, z0.rows(), up.cols()));
-            if (z1.rows() > 0)
-              la::copy(z1.view(), up.block(z0.rows(), 0, z1.rows(), up.cols()));
-            stp->rhs[static_cast<std::size_t>(li) - 1][static_cast<std::size_t>(tt)] =
-                std::move(up);
-          },
-          {{fwd_d[static_cast<std::size_t>(l)][static_cast<std::size_t>(2 * t)],
-            rt::Access::Read},
-           {fwd_d[static_cast<std::size_t>(l)][static_cast<std::size_t>(2 * t + 1)],
-            rt::Access::Read},
-           {rhs_d[static_cast<std::size_t>(l) - 1][static_cast<std::size_t>(t)],
-            rt::Access::Write}},
+          [stp, l, t] { solve_gather(*stp, l, t); },
+          {{fwd_d[li][2 * tt], rt::Access::Read},
+           {fwd_d[li][2 * tt + 1], rt::Access::Read},
+           {rhs_d[li - 1][tt], rt::Access::Write}},
           l, phase);
     }
   }
 
   // Root dense solve on the whole panel.
   graph.insert_task(
-      "ROOT_SOLVE", "potrs", {a.node(1, 0).rank + a.node(1, 1).rank, nrhs},
-      [stp] {
-        Matrix z = Matrix::from_view(stp->rhs[0][0].view());
-        if (z.rows() > 0 && z.cols() > 0)
-          la::potrs(stp->factor->root_factor().view(), z.view());
-        stp->sol[0][0] = std::move(z);
-      },
+      "ROOT_SOLVE", "potrs", {panel_rows(a, 0, 0), nrhs},
+      [stp] { solve_root(*stp); },
       {{rhs_d[0][0], rt::Access::Read}, {sol_d[0][0], rt::Access::Write}}, 0, L);
 
   // Backward sweep, root to leaves.
   for (int l = 1; l <= L; ++l) {
+    const auto li = static_cast<std::size_t>(l);
     const int phase = L + l;
     for (index_t i = 0; i < a.num_nodes(l); ++i) {
+      const auto ii = static_cast<std::size_t>(i);
       const std::string tag = rt::node_tag(l, i);
-      const int li = l;
-      const index_t ii = i;
       const auto& f = factor.factor(l, i);
       graph.insert_task(
           "BACKWARD" + tag, "bwd_solve", {f.m, f.k},
-          [stp, li, ii] {
-            const Matrix& parent = stp->sol[static_cast<std::size_t>(li) - 1]
-                                           [static_cast<std::size_t>(ii / 2)];
-            const auto& fac = stp->factor->factor(li, ii);
-            const index_t w = parent.cols();
-            const la::ConstMatrixView xs =
-                (ii % 2 == 0)
-                    ? parent.block(0, 0, fac.k, w)
-                    : parent.block(parent.rows() - fac.k, 0, fac.k, w);
-            const auto& fw = stp->fwd[static_cast<std::size_t>(li)]
-                                     [static_cast<std::size_t>(ii)];
-            if (li == stp->a->max_level()) {
-              // Leaves write their row block of the global solution.
-              const auto& nd = stp->a->node(li, ii);
-              backward_step_panel(fac,
-                                  la::F64Block(stp->a->node(li, ii).basis).view(),
-                                  fw, xs,
-                                  stp->x.block(nd.begin, 0, nd.block_size(), w));
-            } else {
-              Matrix xl(fac.m, w);
-              backward_step_panel(fac,
-                                  la::F64Block(stp->a->node(li, ii).basis).view(),
-                                  fw, xs, xl.view());
-              stp->sol[static_cast<std::size_t>(li)][static_cast<std::size_t>(ii)] =
-                  std::move(xl);
-            }
-          },
-          {{sol_d[static_cast<std::size_t>(l) - 1][static_cast<std::size_t>(i / 2)],
-            rt::Access::Read},
-           {fwd_d[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)],
-            rt::Access::Read},
-           {sol_d[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)],
-            rt::Access::Write}},
+          [stp, l, i] { solve_backward(*stp, l, i); },
+          {{sol_d[li - 1][ii / 2], rt::Access::Read},
+           {fwd_d[li][ii], rt::Access::Read},
+           {sol_d[li][ii], rt::Access::Write}},
           -l, phase);
     }
   }
-  return dag;
-}
-
-HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, const std::vector<double>& b,
-                               rt::TaskGraph& graph) {
-  const la::ConstMatrixView bv{b.data(), static_cast<index_t>(b.size()), 1,
-                               static_cast<index_t>(b.size())};
-  return emit_hss_solve_dag(factor, bv, graph);
 }
 
 }  // namespace hatrix::ulv

@@ -3,9 +3,8 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
 #include "runtime/thread_pool_executor.hpp"
+#include "ulv/hss_solve_tasks.hpp"
 #include "ulv/hss_ulv_tasks.hpp"
 
 namespace hatrix::ulv {
@@ -37,83 +36,22 @@ Matrix HSSULV::solve(const Matrix& b) const {
 }
 
 void HSSULV::solve_into(la::ConstMatrixView b, la::MatrixView x) const {
+  // The solve DAG's steps in its insertion order, called directly: leaves to
+  // root forward and gather, the root, then root to leaves backward. A
+  // level's RHS panels are dropped once its gathers have run, and its
+  // skeleton solutions once its children have read them.
   const fmt::HSSMatrix& a = *a_;
-  const index_t nrhs = b.cols;
   const int L = a.max_level();
-  if (nrhs == 0) return;
-
-  if (L == 0) {
-    la::copy(b, x);
-    la::potrs(root_l_.view(), x);
-    return;
-  }
-
-  // Forward sweep on whole panels, leaves to root: one gemm/trsm pass per
-  // node handles every RHS column (the blocked form of Eq. 17's inner sum).
-  std::vector<std::vector<NodeForwardPanel>> fwd(static_cast<std::size_t>(L) + 1);
-  std::vector<Matrix> carried(static_cast<std::size_t>(a.num_nodes(L)));
-  for (index_t i = 0; i < a.num_nodes(L); ++i) {
-    const auto& nd = a.node(L, i);
-    carried[static_cast<std::size_t>(i)] =
-        Matrix::from_view(b.block(nd.begin, 0, nd.block_size(), nrhs));
-  }
+  HSSSolveState st(*this, b, x);
   for (int l = L; l >= 1; --l) {
-    auto& level_fwd = fwd[static_cast<std::size_t>(l)];
-    level_fwd.resize(static_cast<std::size_t>(a.num_nodes(l)));
-    for (index_t i = 0; i < a.num_nodes(l); ++i) {
-      level_fwd[static_cast<std::size_t>(i)] = forward_step_panel(
-          factors_[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)],
-          la::F64Block(a.node(l, i).basis).view(),
-          carried[static_cast<std::size_t>(i)].view());
-    }
-    std::vector<Matrix> parent(static_cast<std::size_t>(a.num_nodes(l - 1)));
-    for (index_t t = 0; t < a.num_pairs(l); ++t) {
-      const Matrix& z0 = level_fwd[static_cast<std::size_t>(2 * t)].z_s;
-      const Matrix& z1 = level_fwd[static_cast<std::size_t>(2 * t + 1)].z_s;
-      Matrix up(z0.rows() + z1.rows(), nrhs);
-      if (z0.rows() > 0) la::copy(z0.view(), up.block(0, 0, z0.rows(), nrhs));
-      if (z1.rows() > 0)
-        la::copy(z1.view(), up.block(z0.rows(), 0, z1.rows(), nrhs));
-      parent[static_cast<std::size_t>(t)] = std::move(up);
-    }
-    carried = std::move(parent);
+    for (index_t i = 0; i < a.num_nodes(l); ++i) solve_forward(st, l, i);
+    for (index_t t = 0; t < a.num_pairs(l); ++t) solve_gather(st, l, t);
+    st.rhs[static_cast<std::size_t>(l)].clear();
   }
-
-  // Root: dense Cholesky solve of the whole skeleton panel.
-  Matrix x_root = std::move(carried[0]);
-  if (x_root.rows() > 0) la::potrs(root_l_.view(), x_root.view());
-
-  // Backward sweep, root to leaves: split each parent panel into the
-  // children's skeleton panels and reconstruct node-local solution panels.
-  std::vector<Matrix> down(1);
-  down[0] = std::move(x_root);
+  solve_root(st);
   for (int l = 1; l <= L; ++l) {
-    std::vector<Matrix> next(static_cast<std::size_t>(a.num_nodes(l)));
-    for (index_t t = 0; t < a.num_pairs(l); ++t) {
-      const Matrix& parent_x = down[static_cast<std::size_t>(t)];
-      for (int c = 0; c < 2; ++c) {
-        const index_t i = 2 * t + c;
-        const auto& f =
-            factors_[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)];
-        const la::ConstMatrixView xs =
-            c == 0 ? parent_x.block(0, 0, f.k, nrhs)
-                   : parent_x.block(parent_x.rows() - f.k, 0, f.k, nrhs);
-        const auto& fw =
-            fwd[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)];
-        if (l == L) {
-          // Leaves write their row block of the global solution directly.
-          const auto& nd = a.node(l, i);
-          backward_step_panel(f, la::F64Block(a.node(l, i).basis).view(), fw, xs,
-                              x.block(nd.begin, 0, nd.block_size(), nrhs));
-        } else {
-          Matrix xl(f.m, nrhs);
-          backward_step_panel(f, la::F64Block(a.node(l, i).basis).view(), fw, xs,
-                              xl.view());
-          next[static_cast<std::size_t>(i)] = std::move(xl);
-        }
-      }
-    }
-    down = std::move(next);
+    for (index_t i = 0; i < a.num_nodes(l); ++i) solve_backward(st, l, i);
+    st.sol[static_cast<std::size_t>(l) - 1].clear();
   }
 }
 

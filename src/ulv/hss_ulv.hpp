@@ -7,7 +7,8 @@
 /// independently (embarrassingly parallel within a level); the merge step
 /// stitches the two children's skeleton Schur complements and their sibling
 /// coupling into the parent's dense diagonal. The root block gets a plain
-/// dense Cholesky.
+/// dense Cholesky. The solve runs the steps of hss_solve_tasks.hpp, the same
+/// functions the solve DAG's tasks call, in the DAG's insertion order.
 
 #include <vector>
 
@@ -20,8 +21,8 @@ namespace hatrix::ulv {
 /// plus the root Cholesky factor; solves run in O(N·rank).
 ///
 /// Thread safety: a factorization is immutable once built. Every solve
-/// entry point is const, keeps all per-solve workspace (rotated RHS pieces,
-/// carried skeleton panels) in the caller's stack frame, and only reads the
+/// entry point is const, keeps all per-solve workspace (the HSSSolveState
+/// of rotated RHS and skeleton panels) local to the call, and only reads the
 /// factor data — so any number of threads may call solve()/solve_refined()
 /// concurrently on one shared HSSULV with no synchronization and
 /// bit-identical results (test_concurrent_solve asserts this under TSan).
@@ -79,7 +80,7 @@ class HSSULV {
   /// The matrix this factorization refers to (not owned).
   [[nodiscard]] const fmt::HSSMatrix& matrix() const { return *a_; }
 
-  /// Per-node factor access (used by the task-based solve).
+  /// Per-node factor access (used by the solve steps).
   [[nodiscard]] const NodeFactor& factor(int level, index_t i) const {
     return factors_[static_cast<std::size_t>(level)][static_cast<std::size_t>(i)];
   }
@@ -88,7 +89,7 @@ class HSSULV {
 
  private:
   /// The panel solve behind both solve() overloads: X = A^{-1} B, with
-  /// `b` and `x` both n x nrhs.
+  /// `b` and `x` both n x nrhs. Calls the solve steps in insertion order.
   void solve_into(la::ConstMatrixView b, la::MatrixView x) const;
 
   const fmt::HSSMatrix* a_ = nullptr;

@@ -5,6 +5,7 @@
 // (slow label).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -32,9 +33,17 @@ TEST(InterpResidual, ExactInterpolationIsZero) {
   // X = identity, sel = all rows: interpolation reproduces P exactly.
   Matrix x = Matrix::identity(6);
   std::vector<index_t> sel{0, 1, 2, 3, 4, 5};
-  EXPECT_NEAR(lr::interp_residual(p.view(), x.view(), sel), 0.0, 1e-14);
-  // Empty selection: residual is 1 (nothing explained).
-  EXPECT_NEAR(lr::interp_residual(p.view(), Matrix(6, 0).view(), {}), 1.0, 1e-14);
+  EXPECT_EQ(lr::interp_residual_maxcol(p.view(), x.view(), sel), 0.0);
+  // Empty selection: nothing is explained, so the residual is P's largest
+  // column 2-norm.
+  double largest = 0.0;
+  for (index_t j = 0; j < p.cols(); ++j) {
+    double s = 0.0;
+    for (index_t i = 0; i < p.rows(); ++i) s += p(i, j) * p(i, j);
+    largest = std::max(largest, std::sqrt(s));
+  }
+  EXPECT_NEAR(lr::interp_residual_maxcol(p.view(), Matrix(6, 0).view(), {}),
+              largest, 1e-14 * largest);
 }
 
 // Shared kernel-matrix fixture on a tree-ordered geometry.

@@ -81,7 +81,13 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TileCholesky, RejectsIndefinite) {
   Matrix a = Matrix::identity(32);
   a(20, 20) = -1.0;
-  EXPECT_THROW(dag_cholesky(a, 8), Error);
+  // Rows 16..23 form tile 2; the typed error names it.
+  try {
+    (void)dag_cholesky(a, 8);
+    FAIL() << "expected TilePivotError";
+  } catch (const TilePivotError& e) {
+    EXPECT_EQ(e.tile(), 2);
+  }
 }
 
 TEST(TileCholesky, NumTiles) {
@@ -151,7 +157,14 @@ TEST(BlrCholesky, RejectsIndefinite) {
   for (la::index_t i = 0; i < 256; ++i) a(i, i) -= 270.0;
   fmt::DenseAccessor acc(a.view());
   auto blr = fmt::build_blr(acc, {.tile_size = 64, .max_rank = 64, .tol = 1e-10});
-  EXPECT_THROW(BLRCholesky::factorize(blr, {}), Error);
+  // The leading tiles still factor; the Schur updates of the first two
+  // panels leave tile 2 indefinite, and the typed error names it.
+  try {
+    (void)BLRCholesky::factorize(blr, {});
+    FAIL() << "expected TilePivotError";
+  } catch (const TilePivotError& e) {
+    EXPECT_EQ(e.tile(), 2);
+  }
 }
 
 TEST(Complexity, HssUlvFlopsGrowLinearly) {

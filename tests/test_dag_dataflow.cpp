@@ -334,10 +334,10 @@ TEST(DagDataflow, ProductionEmittersAnalyzeClean) {
   ulv::HSSULV f = ulv::extract_factorization(factor_dag);
 
   rt::TaskGraph solve_graph;
-  std::vector<double> b(512, 1.0);
-  auto solve_dag = ulv::emit_hss_solve_dag(f, b, solve_graph);
+  std::vector<double> b(512, 1.0), x(512);
+  ulv::emit_hss_solve_dag(f, {b.data(), 512, 1, 512}, {x.data(), 512, 1, 512},
+                          solve_graph);
   EXPECT_TRUE(rt::analyze_dag(solve_graph).warnings.empty());
-  (void)solve_dag;
 }
 
 TEST(DagDataflow, CostingDagsAnalyzeClean) {

@@ -233,13 +233,15 @@ TEST(DagVerifyProduction, ConstructionFactorAndSolveDagsAllPass) {
   // Solve DAG on the finished factorization.
   Rng rng(3);
   std::vector<double> b = rng.normal_vector(512);
+  std::vector<double> x(512);
   rt::TaskGraph solve_graph;
-  auto solve_dag = ulv::emit_hss_solve_dag(f, b, solve_graph);
+  ulv::emit_hss_solve_dag(f, {b.data(), 512, 1, 512}, {x.data(), 512, 1, 512},
+                          solve_graph);
   rt::DagStats ss = rt::verify_dag(solve_graph);
   // Forward sweep up the tree, root solve, backward sweep down again.
   EXPECT_GE(ss.critical_path, 2 * (ss.max_width > 1 ? 2 : 1));
   ex.run(solve_graph);
-  EXPECT_EQ(solve_dag.state->x_col().size(), 512u);
+  EXPECT_EQ(x, f.solve(b));
 }
 
 TEST(DagVerifyProduction, CholeskyDagsPass) {

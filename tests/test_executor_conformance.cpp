@@ -118,9 +118,11 @@ ChainResult run_chain(const ChainProblem& p, Runner&& runner,
   out.root = Matrix::from_view(factor.root_factor().view());
 
   rt::TaskGraph solve_graph;
-  auto solve_dag = ulv::emit_hss_solve_dag(factor, p.b, solve_graph);
+  const auto n = static_cast<index_t>(p.b.size());
+  out.x.resize(p.b.size());
+  ulv::emit_hss_solve_dag(factor, {p.b.data(), n, 1, n}, {out.x.data(), n, 1, n},
+                          solve_graph);
   runner(solve_graph);
-  out.x = solve_dag.state->x_col();
   return out;
 }
 

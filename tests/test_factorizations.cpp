@@ -424,12 +424,5 @@ TEST(Norms, KnownValues) {
   EXPECT_DOUBLE_EQ(norm2(std::vector<double>{3.0, 4.0}), 5.0);
 }
 
-TEST(Norms, TwoNormEstimateMatchesLargestSingularValue) {
-  Rng rng(29);
-  Matrix a = Matrix::random_normal(rng, 20, 15);
-  auto f = svd(a.view());
-  EXPECT_NEAR(norm2_estimate(a.view(), 100), f.s[0], 1e-6 * f.s[0]);
-}
-
 }  // namespace
 }  // namespace hatrix::la

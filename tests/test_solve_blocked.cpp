@@ -97,31 +97,37 @@ TEST(BlockedSolve, EmptyPanel) {
   EXPECT_EQ(x.cols(), 0);
 }
 
-TEST(BlockedSolve, SolveDagPanelMatchesBlockedSolve) {
+class SolveDagPanel : public ::testing::TestWithParam<index_t> {};
+
+// The solve DAG run in insertion order calls the same step functions as
+// f.solve, so every panel width (including an empty one) gives the same bits.
+TEST_P(SolveDagPanel, InsertionOrderMatchesBlockedSolve) {
+  const index_t nrhs = GetParam();
   Problem p(1024, 128);
   fmt::KernelAccessor acc(*p.km);
   auto h = fmt::build_hss(acc, {.leaf_size = 128, .max_rank = 30, .tol = 0.0});
   auto f = HSSULV::factorize(h);
   Rng rng(95);
-  Matrix b = Matrix::random_normal(rng, 1024, 6);
+  Matrix b = Matrix::random_normal(rng, 1024, nrhs);
 
   rt::TaskGraph graph;
-  auto dag = emit_hss_solve_dag(f, b.view(), graph);
+  Matrix x(1024, nrhs);
+  emit_hss_solve_dag(f, b.view(), x.view(), graph);
   for (const auto& t : graph.tasks())
     if (t.work) t.work();
-  expect_bit_identical(dag.state->x, f.solve(b));
+  expect_bit_identical(x, f.solve(b));
 
-  // The single-RHS overload is the nrhs = 1 special case of the same DAG.
-  std::vector<double> b0(1024);
-  for (index_t i = 0; i < 1024; ++i) b0[static_cast<std::size_t>(i)] = b(i, 0);
-  rt::TaskGraph graph1;
-  auto dag1 = emit_hss_solve_dag(f, b0, graph1);
-  for (const auto& t : graph1.tasks())
-    if (t.work) t.work();
-  std::vector<double> x0 = dag1.state->x_col();
-  for (index_t i = 0; i < 1024; ++i)
-    ASSERT_EQ(x0[static_cast<std::size_t>(i)], dag.state->x(i, 0));
+  // The vector solve is the one-column panel of the same steps.
+  if (nrhs == 1) {
+    std::vector<double> b0(1024);
+    for (index_t i = 0; i < 1024; ++i) b0[static_cast<std::size_t>(i)] = b(i, 0);
+    const std::vector<double> x0 = f.solve(b0);
+    for (index_t i = 0; i < 1024; ++i)
+      ASSERT_EQ(x0[static_cast<std::size_t>(i)], x(i, 0));
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(Nrhs, SolveDagPanel, ::testing::Values(0, 1, 7, 64));
 
 }  // namespace
 }  // namespace hatrix::ulv
