@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "Solve throughput: %s kernel, N=%lld leaf=%lld rank=%lld, %lld RHS "
-      "columns per cell\n",
+      "columns per cell, rounded up to whole panels per client\n",
       cfg.kernel.c_str(), static_cast<long long>(cfg.n),
       static_cast<long long>(cfg.leaf_size), static_cast<long long>(cfg.max_rank),
       static_cast<long long>(cfg.solves));

@@ -45,12 +45,6 @@ if [ "$FULL" = "1" ]; then
     --measured-n 1024 --workers 2 --reps 1 --mem-n 1024 \
     --json /tmp/hatrix_check_bench_runtime.json
 
-  # The vendor-BLAS adapters compile only with HATRIX_WITH_BLAS, which needs
-  # an external BLAS to link. Syntax-check that path here so hosts without
-  # OpenBLAS still catch a kernel-API change that breaks it.
-  g++ -std=c++20 -Wall -Wextra -Wpedantic -fsyntax-only -DHATRIX_WITH_BLAS=1 \
-    -Isrc src/linalg/blas_vendor.cpp src/linalg/blas.cpp
-
   # Kernel-layer perf regression gate: fresh micro-bench rates vs the
   # committed BENCH_linalg.json baseline (hard floor on gemm n=256).
   ./scripts/perf_gate.sh build

@@ -197,10 +197,14 @@ SolveThroughputOutcome run_solve_throughput(const SolveThroughputExperiment& cfg
 
   Rng rng(cfg.seed + 1);
   const la::index_t batch = std::max<la::index_t>(1, cfg.batch);
-  const la::index_t ncols = std::max<la::index_t>(batch, cfg.solves);
-  const la::Matrix b = la::Matrix::random_normal(rng, cfg.n, ncols);
-  const la::index_t num_panels = (ncols + batch - 1) / batch;
   const auto clients = static_cast<la::index_t>(std::max(1, cfg.clients));
+  // Whole panels per client (see SolveThroughputExperiment::solves).
+  const la::index_t per_round = batch * clients;
+  const la::index_t num_panels =
+      clients *
+      ((std::max<la::index_t>(1, cfg.solves) + per_round - 1) / per_round);
+  const la::index_t ncols = num_panels * batch;
+  const la::Matrix b = la::Matrix::random_normal(rng, cfg.n, ncols);
 
   // Panels round-robin across client threads; every client solves against
   // the one shared factorization with zero synchronization (HSSULV::solve
@@ -212,9 +216,8 @@ SolveThroughputOutcome run_solve_throughput(const SolveThroughputExperiment& cfg
     for (la::index_t c = 0; c < clients; ++c) {
       pool.emplace_back([&, c] {
         for (la::index_t p = c; p < num_panels; p += clients) {
-          const la::index_t c0 = p * batch;
-          const la::index_t w = std::min(batch, ncols - c0);
-          const la::Matrix panel = la::Matrix::from_view(b.block(0, c0, cfg.n, w));
+          const la::Matrix panel =
+              la::Matrix::from_view(b.block(0, p * batch, cfg.n, batch));
           solve_panel(panel, p);
         }
       });

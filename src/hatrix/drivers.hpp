@@ -113,7 +113,10 @@ struct SolveThroughputExperiment {
   std::uint64_t seed = 42;         ///< sampling / RHS seed
   la::index_t batch = 16;          ///< RHS panel width per solve call
   int clients = 1;                 ///< concurrent solver threads
-  la::index_t solves = 64;         ///< total RHS columns solved (all clients)
+  /// Requested RHS columns (all clients). Rounded up to whole panels per
+  /// client, batch × clients × ceil(solves / (batch × clients)), so every
+  /// client gets the same number of full panels and none sits idle.
+  la::index_t solves = 64;
   bool compare_oracle = true;      ///< also time the column-loop oracle
 };
 

@@ -1,30 +1,19 @@
 #pragma once
 /// \file blas.hpp
-/// \brief BLAS-style dense kernels (levels 1-3) on matrix views, behind a
-/// runtime-selectable backend.
+/// \brief BLAS-style dense FP64 kernels (levels 1-3) on matrix views.
 ///
-/// Three interchangeable backends implement the level-3 kernels
-/// (gemm/syrk/trsm and the blocked potrf built on them; FP64 only — the
-/// mixed-precision mode stores in FP32 but computes in FP64):
+/// One implementation serves the level-3 kernels: a cache-blocked, packing
+/// gemm with a register-tiled micro-kernel, with trsm/syrk/potrf recast as
+/// small diagonal-block solves plus gemm panel updates, so one tuned kernel
+/// speeds every level-3 operation. The mixed-precision mode stores in FP32
+/// but computes here in FP64. The naive triple loops are kept only as the
+/// conformance oracle, `la::ref::`.
 ///
-///   - `Backend::Blocked` (default): cache-blocked, packing gemm with
-///     register-tiled micro-kernels; trsm/syrk/potrf are recast as small
-///     diagonal-block solves plus gemm panel updates, so one tuned kernel
-///     speeds every level-3 operation.
-///   - `Backend::Naive`: the original reference triple loops, retained as
-///     the conformance oracle (also reachable directly via `la::ref::`).
-///   - `Backend::Vendor`: an external BLAS (compiled in with
-///     -DHATRIX_WITH_BLAS=ON; `vendor_available()` reports it).
-///
-/// Select with `set_backend()` or the HATRIX_LA_BACKEND environment
-/// variable (`naive` | `blocked` | `vendor`, read once at startup).
-///
-/// Determinism contract (the solve layer depends on it): for the Naive and
-/// Blocked backends, column j of a gemm or Side::Left trsm result is
-/// bit-identical whether the call covers one column or a whole panel —
-/// per-column accumulation order never depends on the panel width. `gemv`
-/// is routed through gemm with one column for the same reason. Vendor
-/// backends make no such promise.
+/// Determinism contract (the solve layer depends on it): column j of a gemm
+/// or Side::Left trsm result is bit-identical whether the call covers one
+/// column or a whole panel — per-column accumulation order never depends on
+/// the panel width. `gemv` is routed through gemm with one column for the
+/// same reason.
 ///
 /// All kernels count their classical flop totals through hatrix::flops so
 /// benches can measure algorithmic complexity (Table 1 of the paper). The
@@ -46,22 +35,14 @@ enum class Side { Left, Right };
 /// Whether the triangular matrix has an implicit unit diagonal.
 enum class Diag { NonUnit, Unit };
 
-/// Kernel implementation selector (see file comment).
-enum class Backend { Naive, Blocked, Vendor };
+/// Kernel implementation tag, reported in bench provenance rows. The
+/// blocked kernels are the only implementation.
+enum class Backend { Blocked };
 
-/// The currently active backend (process-wide, atomic).
+/// The kernel implementation in use (always `Backend::Blocked`).
 [[nodiscard]] Backend backend() noexcept;
-/// Select the backend for subsequent kernel calls. Throws hatrix::Error if
-/// `Backend::Vendor` is requested but the library was built without
-/// HATRIX_WITH_BLAS.
-void set_backend(Backend b);
-/// True when a vendor BLAS was compiled in.
-[[nodiscard]] bool vendor_available() noexcept;
-/// Human-readable backend name ("naive" / "blocked" / "vendor").
+/// Human-readable implementation name ("blocked").
 [[nodiscard]] const char* backend_name(Backend b) noexcept;
-/// Parse a backend name (as accepted by HATRIX_LA_BACKEND); throws on an
-/// unknown name.
-[[nodiscard]] Backend backend_from_name(const std::string& name);
 
 /// C = alpha * op(A) * op(B) + beta * C.
 void gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b, Trans tb,
@@ -94,8 +75,8 @@ void scale(MatrixView a, double alpha);
 /// Frobenius inner product <A, B>.
 double dot(ConstMatrixView a, ConstMatrixView b);
 
-/// The retained naive reference kernels — the conformance oracle the other
-/// backends are tested against (tests/test_linalg_conformance). Shapes are
+/// The retained naive reference kernels — the conformance oracle the blocked
+/// kernels are tested against (tests/test_linalg_conformance). Shapes are
 /// checked, flops are NOT counted (the public entry points own accounting).
 namespace ref {
 void gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b, Trans tb,

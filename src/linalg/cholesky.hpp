@@ -11,7 +11,7 @@ namespace hatrix::la {
 /// referenced; on return the matrix holds exactly L (the strict upper
 /// triangle is zeroed). Throws hatrix::Error if a non-positive pivot is met,
 /// i.e. the matrix is not positive definite. Blocked right-looking algorithm
-/// on top of the dispatched trsm/syrk/gemm kernels.
+/// on top of the blocked trsm/syrk/gemm kernels.
 void potrf(MatrixView a);
 
 /// Solve A·X = B given the lower Cholesky factor L from potrf (B is

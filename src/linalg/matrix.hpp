@@ -1,14 +1,11 @@
 #pragma once
 /// \file matrix.hpp
-/// \brief Dense column-major matrix types and lightweight views.
+/// \brief Dense column-major FP64 matrix types and lightweight views.
 ///
-/// The library is self-contained (no external BLAS/LAPACK required; an
-/// optional vendor backend can be compiled in, see blas.hpp). Every dense
+/// The library is self-contained: no external BLAS/LAPACK. Every dense
 /// kernel operates on these types. `Matrix` owns its storage; the view
 /// structs reference sub-blocks with a leading dimension, which is what
-/// blocked factorization algorithms need. Views and the kernel layer are
-/// templated on the scalar type; every kernel instantiates them for
-/// `double`.
+/// blocked factorization algorithms need.
 ///
 /// Mixed-precision storage: a `Matrix` (FP64 interface) can *demote* its
 /// buffer to FP32 (`demote_storage()`), halving its resident footprint.
@@ -80,47 +77,42 @@ struct TrackingAllocator {
 
 }  // namespace detail
 
-/// Non-owning read-only view of a column-major block of `T`.
-template <class T>
-struct ConstMatrixViewT {
-  const T* data = nullptr;
+/// Non-owning read-only view of a column-major block.
+struct ConstMatrixView {
+  const double* data = nullptr;
   index_t rows = 0;
   index_t cols = 0;
   index_t ld = 0;  ///< leading dimension (stride between columns)
 
-  const T& operator()(index_t i, index_t j) const { return data[i + j * ld]; }
+  const double& operator()(index_t i, index_t j) const { return data[i + j * ld]; }
 
   /// Sub-block view [i0, i0+m) x [j0, j0+n).
-  [[nodiscard]] ConstMatrixViewT block(index_t i0, index_t j0, index_t m,
-                                       index_t n) const {
+  [[nodiscard]] ConstMatrixView block(index_t i0, index_t j0, index_t m,
+                                      index_t n) const {
     HATRIX_CHECK(i0 >= 0 && j0 >= 0 && i0 + m <= rows && j0 + n <= cols,
                  "block out of range");
     return {data + i0 + j0 * ld, m, n, ld};
   }
 };
 
-/// Non-owning mutable view of a column-major block of `T`.
-template <class T>
-struct MatrixViewT {
-  T* data = nullptr;
+/// Non-owning mutable view of a column-major block.
+struct MatrixView {
+  double* data = nullptr;
   index_t rows = 0;
   index_t cols = 0;
   index_t ld = 0;
 
-  T& operator()(index_t i, index_t j) const { return data[i + j * ld]; }
+  double& operator()(index_t i, index_t j) const { return data[i + j * ld]; }
 
-  operator ConstMatrixViewT<T>() const { return {data, rows, cols, ld}; }
+  operator ConstMatrixView() const { return {data, rows, cols, ld}; }
 
-  [[nodiscard]] MatrixViewT block(index_t i0, index_t j0, index_t m,
-                                  index_t n) const {
+  [[nodiscard]] MatrixView block(index_t i0, index_t j0, index_t m,
+                                 index_t n) const {
     HATRIX_CHECK(i0 >= 0 && j0 >= 0 && i0 + m <= rows && j0 + n <= cols,
                  "block out of range");
     return {data + i0 + j0 * ld, m, n, ld};
   }
 };
-
-using ConstMatrixView = ConstMatrixViewT<double>;
-using MatrixView = MatrixViewT<double>;
 
 /// Owning dense column-major matrix with an FP64 interface. Normally backed
 /// by an FP64 buffer; `demote_storage()` swaps the backing store to FP32

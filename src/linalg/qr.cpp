@@ -7,9 +7,9 @@
 /// `pivoted_qr` is a dlaqps-style truncated column-pivoted QR that defers
 /// the trailing update to one gemm per block. `qr` and `orth_complement`
 /// keep the unblocked loops for at most kPanel reflectors. The classical unblocked Householder
-/// flop count is recorded once per public call; the internal gemms go
-/// through the non-counting dispatchers, so the count does not depend on
-/// the block size.
+/// flop count is recorded once per public call; the internal gemms call the
+/// blocked kernel directly, not the counting entry point, so the count does
+/// not depend on the block size.
 
 #include "linalg/qr.hpp"
 
@@ -140,7 +140,8 @@ BlockReflector block_reflector(ConstMatrixView panel, const double* tau) {
   // T(0:i, i) = -tau_i T(0:i, 0:i) V(:, 0:i)ᵀ v_i, with every VᵀV entry from
   // one gemm.
   Matrix s(b, b);
-  detail::gemm_nc(1.0, h.v.view(), Trans::Yes, h.v.view(), Trans::No, 0.0, s.view());
+  detail::gemm_blocked(1.0, h.v.view(), Trans::Yes, h.v.view(), Trans::No, 0.0,
+                       s.view());
   for (index_t i = 0; i < b; ++i) {
     h.t(i, i) = tau[i];
     for (index_t r = 0; r < i; ++r) {
@@ -157,9 +158,9 @@ BlockReflector block_reflector(ConstMatrixView panel, const double* tau) {
 void apply_block(const BlockReflector& h, Trans op_t, MatrixView c) {
   const index_t b = h.t.rows();
   Matrix w(b, c.cols), tw(b, c.cols);
-  detail::gemm_nc(1.0, h.v.view(), Trans::Yes, c, Trans::No, 0.0, w.view());
-  detail::gemm_nc(1.0, h.t.view(), op_t, w.view(), Trans::No, 0.0, tw.view());
-  detail::gemm_nc(-1.0, h.v.view(), Trans::No, tw.view(), Trans::No, 1.0, c);
+  detail::gemm_blocked(1.0, h.v.view(), Trans::Yes, c, Trans::No, 0.0, w.view());
+  detail::gemm_blocked(1.0, h.t.view(), op_t, w.view(), Trans::No, 0.0, tw.view());
+  detail::gemm_blocked(-1.0, h.v.view(), Trans::No, tw.view(), Trans::No, 1.0, c);
 }
 
 /// Compact-WY blocks, one per panel of kPanel consecutive reflectors.
@@ -386,8 +387,9 @@ index_t pivoted_factor(MatrixView a, index_t kmax, double tol, Pivoting& piv,
     k += c;
     if (stop || k == kmax) break;
     // Deferred trailing update: A(k:m, k:n) -= A(k:m, k-c:k) F(k:n, 0:c)ᵀ.
-    detail::gemm_nc(-1.0, a.block(k, k - c, m - k, c), Trans::No, f.block(k, 0, n - k, c),
-                    Trans::Yes, 1.0, a.block(k, k, m - k, n - k));
+    detail::gemm_blocked(-1.0, a.block(k, k - c, m - k, c), Trans::No,
+                         f.block(k, 0, n - k, c), Trans::Yes, 1.0,
+                         a.block(k, k, m - k, n - k));
     for (index_t j : stale) piv.recompute(j, at(a, k, j), m - k);
     stale.clear();
   }

@@ -27,15 +27,6 @@ struct LowRank {
   /// Storage footprint in bytes (used by communication models).
   [[nodiscard]] std::int64_t bytes() const { return u.bytes() + v.bytes(); }
 
-  /// Demote both factors to FP32 backing storage (halves bytes()); see
-  /// Matrix::demote_storage. dense()/matvec promote on the fly, but code
-  /// that mutates the factors in place (the BLR Cholesky's lr_add_round)
-  /// requires FP64 tiles and fails loudly on demoted ones.
-  void demote_storage();
-
-  /// True when the factors are FP32-demoted.
-  [[nodiscard]] bool is_f32() const { return u.is_f32() || v.is_f32(); }
-
   /// Materialize U·Vᵀ.
   [[nodiscard]] Matrix dense() const;
 

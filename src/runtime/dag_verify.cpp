@@ -181,11 +181,6 @@ std::vector<double> bottom_levels(const TaskGraph& graph, const TaskCostFn& cost
   return bl;
 }
 
-double weighted_critical_path(const TaskGraph& graph, const TaskCostFn& cost) {
-  const auto bl = bottom_levels(graph, cost);
-  return bl.empty() ? 0.0 : *std::max_element(bl.begin(), bl.end());
-}
-
 bool verify_dag_default() {
   if (const char* env = std::getenv("HATRIX_VERIFY_DAG")) {
     const std::string v(env);

@@ -96,12 +96,6 @@ DagStats verify_dag(const TaskGraph& graph);
 /// test-only mutators are ignored.
 std::vector<double> bottom_levels(const TaskGraph& graph, const TaskCostFn& cost);
 
-/// Cost-weighted critical path: the largest bottom level, i.e. the cost of
-/// the most expensive dependency chain. Generalizes
-/// TaskGraph::critical_path_length() (the cost==1 special case) through the
-/// same per-task cost hook Schedule::CriticalPath uses.
-double weighted_critical_path(const TaskGraph& graph, const TaskCostFn& cost);
-
 /// Default verify-before-run policy for executors: the HATRIX_VERIFY_DAG
 /// environment variable forces it on ("1"/"true"/"on") or off ("0" etc.);
 /// with the variable unset, verification defaults to on in debug builds

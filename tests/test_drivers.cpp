@@ -156,5 +156,22 @@ TEST(Accuracy, BlrAdaptiveRankMeetsTolerance) {
   EXPECT_LT(out.rank_used, 512);  // adaptivity engaged
 }
 
+TEST(Drivers, SolveThroughputSplitsWholePanelsAcrossClients) {
+  // 64 requested columns in 64-wide panels over 4 clients round up to one
+  // full panel per client: 256 columns solved, not one panel and 3 idle
+  // clients.
+  SolveThroughputExperiment cfg;
+  cfg.n = 512;
+  cfg.leaf_size = 128;
+  cfg.max_rank = 30;
+  cfg.sample_cols = 128;
+  cfg.batch = 64;
+  cfg.clients = 4;
+  cfg.solves = 64;
+  cfg.compare_oracle = false;
+  const auto out = run_solve_throughput(cfg);
+  EXPECT_EQ(std::llround(out.solves_per_second * out.blocked_seconds), 256);
+}
+
 }  // namespace
 }  // namespace hatrix::driver
