@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       static_cast<long long>(cfg.solves));
 
   const std::vector<la::index_t> widths{1, 4, 16, 64};
-  TextTable table({"batch", "clients", "solves/s", "blocked (s)", "oracle (s)",
+  TextTable table({"batch", "clients", "columns", "solves/s", "blocked (s)", "oracle (s)",
                    "speedup", "max |diff|", "solve err"});
   BenchJson json("solve_throughput");
   json.row()
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       .add("leaf", static_cast<std::int64_t>(cfg.leaf_size))
       .add("rank", static_cast<std::int64_t>(cfg.max_rank))
       .add("samples", static_cast<std::int64_t>(cfg.sample_cols))
-      .add("solves", static_cast<std::int64_t>(cfg.solves));
+      .add("solves_requested", static_cast<std::int64_t>(cfg.solves));
 
   for (la::index_t w : widths) {
     for (int c = 1; c <= max_clients; c *= 2) {
@@ -72,6 +72,7 @@ int main(int argc, char** argv) {
       cfg.compare_oracle = c == 1;
       auto out = driver::run_solve_throughput(cfg);
       table.add_row({std::to_string(w), std::to_string(c),
+                     std::to_string(out.solved_columns),
                      fmt_fixed(out.solves_per_second, 1),
                      fmt_fixed(out.blocked_seconds, 4),
                      cfg.compare_oracle ? fmt_fixed(out.oracle_seconds, 4) : "-",
@@ -81,6 +82,7 @@ int main(int argc, char** argv) {
       json.row()
           .add("batch", static_cast<std::int64_t>(w))
           .add("clients", static_cast<std::int64_t>(c))
+          .add("solved_columns", static_cast<std::int64_t>(out.solved_columns))
           .add("solves_per_second", out.solves_per_second)
           .add("blocked_seconds", out.blocked_seconds)
           .add("oracle_seconds", out.oracle_seconds)

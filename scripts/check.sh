@@ -20,12 +20,14 @@ fi
 
 cmake -B build -S .
 cmake --build build -j "$(nproc 2>/dev/null || echo 4)"
-# Full mode runs everything with the dataflow analyzer forced on, so a DAG
-# whose declared accesses drift from its task bodies fails here even in a
-# Release build where the debug-default gate would leave the analyzer off.
+# Full mode runs everything with the race verifier and the dataflow analyzer
+# forced on, so a DAG whose edges or declared accesses drift from its task
+# bodies fails here even in an NDEBUG build where the debug-default gates
+# would leave both off.
 if [ "$FULL" = "1" ]; then
+  HATRIX_VERIFY_DAG=1
   HATRIX_ANALYZE_DAG=1
-  export HATRIX_ANALYZE_DAG
+  export HATRIX_VERIFY_DAG HATRIX_ANALYZE_DAG
 fi
 # shellcheck disable=SC2086  # LABEL_ARGS is intentionally word-split
 ctest --test-dir build --output-on-failure -j "$(nproc 2>/dev/null || echo 4)" $LABEL_ARGS
@@ -38,10 +40,10 @@ ctest --test-dir build --output-on-failure -j "$(nproc 2>/dev/null || echo 4)" $
 # contract (docs/ARCHITECTURE.md) is only as good as this check.
 if [ "$FULL" = "1" ]; then
   # Quick executor sweep: run the real ULV DAG through fork-join, FIFO and
-  # priority (Ablation D of bench_ablation_runtime) with the DAG verifier on,
-  # so a scheduling regression that slips past the unit suites still fails
-  # the check line.
-  HATRIX_VERIFY_DAG=1 ./build/bench/bench_ablation_runtime --skip-sim \
+  # priority (Ablation D of bench_ablation_runtime) with the DAG verifier on
+  # (exported above), so a scheduling regression that slips past the unit
+  # suites still fails the check line.
+  ./build/bench/bench_ablation_runtime --skip-sim \
     --measured-n 1024 --workers 2 --reps 1 --mem-n 1024 \
     --json /tmp/hatrix_check_bench_runtime.json
 

@@ -203,8 +203,8 @@ SolveThroughputOutcome run_solve_throughput(const SolveThroughputExperiment& cfg
   const la::index_t num_panels =
       clients *
       ((std::max<la::index_t>(1, cfg.solves) + per_round - 1) / per_round);
-  const la::index_t ncols = num_panels * batch;
-  const la::Matrix b = la::Matrix::random_normal(rng, cfg.n, ncols);
+  out.solved_columns = num_panels * batch;
+  const la::Matrix b = la::Matrix::random_normal(rng, cfg.n, out.solved_columns);
 
   // Panels round-robin across client threads; every client solves against
   // the one shared factorization with zero synchronization (HSSULV::solve
@@ -232,8 +232,9 @@ SolveThroughputOutcome run_solve_throughput(const SolveThroughputExperiment& cfg
   });
   out.blocked_seconds = timer.seconds();
   out.solves_per_second =
-      out.blocked_seconds > 0.0 ? static_cast<double>(ncols) / out.blocked_seconds
-                                : 0.0;
+      out.blocked_seconds > 0.0
+          ? static_cast<double>(out.solved_columns) / out.blocked_seconds
+          : 0.0;
 
   if (cfg.compare_oracle) {
     std::vector<la::Matrix> oracle(static_cast<std::size_t>(num_panels));

@@ -125,6 +125,8 @@ struct SolveThroughputOutcome {
   double build_seconds = 0.0;      ///< HSS construction wall time
   double factor_seconds = 0.0;     ///< ULV factorization wall time
   double blocked_seconds = 0.0;    ///< wall time of all solves, blocked path
+  la::index_t solved_columns = 0;  ///< RHS columns solved: `solves` rounded up
+                                   ///< to whole panels per client
   double oracle_seconds = 0.0;     ///< wall time, column-loop oracle (0: skipped)
   double solves_per_second = 0.0;  ///< solved columns / blocked wall time
   double speedup_vs_oracle = 0.0;  ///< oracle_seconds / blocked_seconds (0: skipped)

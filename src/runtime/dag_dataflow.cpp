@@ -1,47 +1,37 @@
 #include "runtime/dag_dataflow.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <map>
+
+#include "runtime/dag_detail.hpp"
 
 namespace hatrix::rt {
 
-namespace {
+using detail::Event;
+using detail::task_label;
 
-std::string task_label(const TaskGraph& g, TaskId t) {
-  return g.tasks()[static_cast<std::size_t>(t)].name + " (#" + std::to_string(t) +
-         ")";
-}
+namespace {
 
 std::string data_label(const TaskGraph& g, DataId d) {
   return "\"" + g.data(d).name + "\" (data #" + std::to_string(d) + ")";
 }
 
-/// One declared access in per-handle chain order.
-struct Event {
-  TaskId task;
-  Access mode;
-};
-
-/// Per-handle event chains in DTD (task-insertion, then declaration) order —
-/// the exact order the dependency inference consumed them in.
-std::vector<std::vector<Event>> event_chains(const TaskGraph& graph) {
-  std::vector<std::vector<Event>> ev(graph.data().size());
-  for (const auto& t : graph.tasks())
-    for (const auto& [d, mode] : t.accesses)
-      ev[static_cast<std::size_t>(d)].push_back({t.id, mode});
-  return ev;
-}
-
-/// Distinct tasks touching a handle, preserving first-touch order. Chains
-/// are short (single-digit accessors on the production DAGs), so the
-/// quadratic dedup beats sorting.
-std::vector<TaskId> distinct_tasks(const std::vector<Event>& chain) {
-  std::vector<TaskId> out;
-  for (const Event& e : chain)
-    if (std::find(out.begin(), out.end(), e.task) == out.end())
-      out.push_back(e.task);
-  return out;
+ReleasePlan release_plan(const TaskGraph& graph,
+                         const std::vector<std::vector<Event>>& ev) {
+  ReleasePlan plan;
+  plan.initial_uses.assign(graph.data().size(), 0);
+  plan.task_data.assign(static_cast<std::size_t>(graph.num_tasks()), {});
+  for (std::size_t d = 0; d < ev.size(); ++d) {
+    if (graph.data()[d].output) continue;  // outputs are never released
+    TaskId prev = -1;
+    for (const Event& e : ev[d]) {
+      if (e.task == prev) continue;  // a task's accesses are adjacent
+      prev = e.task;
+      ++plan.initial_uses[d];
+      plan.task_data[static_cast<std::size_t>(e.task)].push_back(
+          static_cast<DataId>(d));
+    }
+  }
+  return plan;
 }
 
 }  // namespace
@@ -59,53 +49,26 @@ DagUseBeforeDefError::DagUseBeforeDefError(TaskId t, std::string t_name,
       resource_name(std::move(res_name)) {}
 
 ReleasePlan release_plan(const TaskGraph& graph) {
-  const auto n = static_cast<std::size_t>(graph.num_tasks());
-  const auto ev = event_chains(graph);
-  ReleasePlan plan;
-  plan.initial_uses.assign(graph.data().size(), 0);
-  plan.task_data.assign(n, {});
-  for (std::size_t d = 0; d < ev.size(); ++d) {
-    if (graph.data()[d].output) continue;  // outputs are never released
-    const auto owners = distinct_tasks(ev[d]);
-    plan.initial_uses[d] = static_cast<int>(owners.size());
-    for (TaskId t : owners)
-      plan.task_data[static_cast<std::size_t>(t)].push_back(
-          static_cast<DataId>(d));
-  }
-  return plan;
+  return release_plan(graph, detail::event_chains(graph));
 }
 
 DagDataflowReport analyze_dag(const TaskGraph& graph) {
   const auto n = static_cast<std::size_t>(graph.num_tasks());
   const auto nd = graph.data().size();
-  const auto ev = event_chains(graph);
+  const auto ev = detail::event_chains(graph);
 
   DagDataflowReport rep;
+  rep.plan = release_plan(graph, ev);
   rep.stats.tasks = graph.num_tasks();
   rep.stats.edges = graph.num_edges();
   rep.lifetimes.resize(nd);
   for (std::size_t d = 0; d < nd; ++d)
     rep.lifetimes[d].data = static_cast<DataId>(d);
 
-  // --- Depth/width statistics (as in verify_dag; insertion order is
-  // topological, non-forward test splices are skipped like
-  // critical_path_length does).
-  if (n > 0) {
-    std::vector<std::int64_t> depth(n, 1);
-    for (std::size_t t = 0; t < n; ++t)
-      for (TaskId s : graph.successors()[t])
-        if (s > static_cast<TaskId>(t) && s < graph.num_tasks())
-          depth[static_cast<std::size_t>(s)] =
-              std::max(depth[static_cast<std::size_t>(s)], depth[t] + 1);
-    rep.stats.critical_path = *std::max_element(depth.begin(), depth.end());
-    std::vector<std::int64_t> width(
-        static_cast<std::size_t>(rep.stats.critical_path), 0);
-    for (std::size_t t = 0; t < n; ++t)
-      ++width[static_cast<std::size_t>(depth[t] - 1)];
-    rep.stats.max_width = *std::max_element(width.begin(), width.end());
-    rep.stats.avg_width = static_cast<double>(rep.stats.tasks) /
-                          static_cast<double>(rep.stats.critical_path);
-  }
+  // --- Depth/width statistics over insertion order (topological; the
+  // test-only backward splices are dropped).
+  const detail::OrderedPreds op = detail::ordered_preds(graph);
+  detail::fill_shape(op, rep.stats);
 
   // --- Def-use chains: use-before-def (fatal), write-after-last-read, dead
   // stores. A value is an (producer task, handle) pair; "dead" means no task
@@ -124,12 +87,15 @@ DagDataflowReport analyze_dag(const TaskGraph& graph) {
     if (chain.empty()) continue;
     const DataHandle& h = graph.data()[d];
 
+    auto& life = rep.lifetimes[d];
     TaskId def = -1;        // first writing task
     TaskId producer = -1;   // task that produced the current value
     Access producer_mode = Access::Write;
     bool consumed = true;   // current value has been read (or none exists)
 
     for (const Event& e : chain) {
+      if (e.task != life.last_use) ++life.uses;  // a task's accesses are adjacent
+      life.last_use = e.task;
       if (e.mode == Access::Read) {
         if (def < 0 && !h.input)
           throw DagUseBeforeDefError(
@@ -157,10 +123,7 @@ DagDataflowReport analyze_dag(const TaskGraph& graph) {
       }
     }
 
-    auto& life = rep.lifetimes[d];
     life.def = def;
-    life.last_use = chain.back().task;
-    life.uses = static_cast<std::int64_t>(distinct_tasks(chain).size());
 
     if (!consumed && producer >= 0 && !h.output) {
       // A trailing non-def ReadWrite is an in-place update chain whose
@@ -216,13 +179,13 @@ DagDataflowReport analyze_dag(const TaskGraph& graph) {
 
   // --- Exact peak along the serial insertion order: a handle materializes
   // at its first touch (inputs at time zero) and retires when its last
-  // accessor finishes, outputs never.
-  std::vector<int> remaining(nd, 0);
+  // accessor finishes, as the release plan counts them down; outputs are
+  // not in the plan and never retire.
+  std::vector<int> remaining = rep.plan.initial_uses;
   std::vector<char> live(nd, 0);
   std::int64_t resident = 0;
   for (std::size_t d = 0; d < nd; ++d) {
     if (ev[d].empty()) continue;
-    remaining[d] = static_cast<int>(rep.lifetimes[d].uses);
     rep.stats.data_bytes += graph.data()[d].bytes;
     if (graph.data()[d].input) {
       live[d] = 1;
@@ -231,8 +194,7 @@ DagDataflowReport analyze_dag(const TaskGraph& graph) {
   }
   std::int64_t peak = resident;
   for (std::size_t t = 0; t < n; ++t) {
-    const auto& acc = graph.tasks()[t].accesses;
-    for (const auto& [d, mode] : acc) {
+    for (const auto& [d, mode] : graph.tasks()[t].accesses) {
       (void)mode;
       const auto di = static_cast<std::size_t>(d);
       if (!live[di]) {
@@ -241,19 +203,9 @@ DagDataflowReport analyze_dag(const TaskGraph& graph) {
       }
     }
     peak = std::max(peak, resident);
-    // Decrement once per distinct handle; a task may declare two accesses
-    // to the same handle.
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-      const DataId d = acc[i].first;
-      bool seen = false;
-      for (std::size_t j = 0; j < i; ++j)
-        if (acc[j].first == d) {
-          seen = true;
-          break;
-        }
-      if (seen) continue;
+    for (DataId d : rep.plan.task_data[t]) {
       const auto di = static_cast<std::size_t>(d);
-      if (--remaining[di] == 0 && !graph.data()[di].output) {
+      if (--remaining[di] == 0) {
         resident -= graph.data()[di].bytes;
         live[di] = 0;
       }
@@ -261,131 +213,34 @@ DagDataflowReport analyze_dag(const TaskGraph& graph) {
   }
   rep.stats.peak_bytes_serial = peak;
 
-  // --- Peak bound over any edge-consistent schedule. Ancestor bitsets (the
-  // race check's representation): handle h can be live while task t runs
-  // unless t provably precedes h's materialization (t ≺ def(h)) or h is
-  // provably retired (every accessor ≺ t, and h is neither an output nor
-  // touched by t itself).
-  if (n > 0) {
-    const std::size_t words = (n + 63) / 64;
-    std::vector<std::vector<TaskId>> preds(n);
-    for (std::size_t t = 0; t < n; ++t)
-      for (TaskId s : graph.successors()[t])
-        if (s > static_cast<TaskId>(t) && s < graph.num_tasks())
-          preds[static_cast<std::size_t>(s)].push_back(static_cast<TaskId>(t));
-    std::vector<std::uint64_t> anc(n * words, 0);
-    for (std::size_t t = 0; t < n; ++t) {
-      std::uint64_t* row = anc.data() + t * words;
-      for (TaskId p : preds[t]) {
-        const auto pi = static_cast<std::size_t>(p);
-        const std::uint64_t* prow = anc.data() + pi * words;
-        for (std::size_t w = 0; w < words; ++w) row[w] |= prow[w];
-        row[pi / 64] |= std::uint64_t{1} << (pi % 64);
-      }
+  // --- Peak bound over any edge-consistent schedule, from the ancestor
+  // sets: handle h can be live while task t runs unless t provably precedes
+  // h's materialization (t ≺ def(h)) or h is provably retired (every
+  // accessor ≺ t, and h is neither an output nor touched by t itself).
+  const detail::AncestorSets anc(op);
+  for (std::size_t t = 0; t < n; ++t) {
+    const auto tid = static_cast<TaskId>(t);
+    std::int64_t r = 0;
+    for (std::size_t d = 0; d < nd; ++d) {
+      if (ev[d].empty()) continue;
+      const DataHandle& h = graph.data()[d];
+      const TaskId def = rep.lifetimes[d].def;
+      if (!h.input && def >= 0 && def != tid && anc.precedes(tid, def))
+        continue;  // not yet materialized while t runs
+      if (!h.output &&
+          std::all_of(ev[d].begin(), ev[d].end(), [&](const Event& e) {
+            return e.task != tid && anc.precedes(e.task, tid);
+          }))
+        continue;  // retired before t runs
+      r += h.bytes;
     }
-    auto before = [&](TaskId a, TaskId b) {
-      const auto ai = static_cast<std::size_t>(a);
-      return ((anc[static_cast<std::size_t>(b) * words + ai / 64] >> (ai % 64)) &
-              1) != 0;
-    };
-
-    std::vector<std::vector<TaskId>> accessors(nd);
-    for (std::size_t d = 0; d < nd; ++d) accessors[d] = distinct_tasks(ev[d]);
-
-    std::int64_t peak_any = 0;
-    for (std::size_t t = 0; t < n; ++t) {
-      const auto tid = static_cast<TaskId>(t);
-      std::int64_t r = 0;
-      for (std::size_t d = 0; d < nd; ++d) {
-        if (ev[d].empty()) continue;
-        const DataHandle& h = graph.data()[d];
-        const TaskId def = rep.lifetimes[d].def;
-        if (!h.input && def >= 0 && def != tid && before(tid, def))
-          continue;  // not yet materialized while t runs
-        if (!h.output) {
-          bool retired = true;
-          for (TaskId a : accessors[d])
-            if (a == tid || !before(a, tid)) {
-              retired = false;
-              break;
-            }
-          if (retired) continue;
-        }
-        r += h.bytes;
-      }
-      peak_any = std::max(peak_any, r);
-    }
-    rep.stats.peak_bytes_any = peak_any;
+    rep.stats.peak_bytes_any = std::max(rep.stats.peak_bytes_any, r);
   }
-
-  rep.plan = release_plan(graph);
   return rep;
 }
 
-RankUsage analyze_dag_ranks(const TaskGraph& graph,
-                            const std::vector<int>& task_owner, int num_procs) {
-  const auto n = static_cast<std::size_t>(graph.num_tasks());
-  HATRIX_CHECK(task_owner.size() == n, "mapping/graph size mismatch");
-  HATRIX_CHECK(num_procs >= 1, "bad process count");
-  for (int o : task_owner)
-    HATRIX_CHECK(o >= 0 && o < num_procs, "task owner out of range");
-
-  RankUsage out;
-  out.footprint_bytes.assign(static_cast<std::size_t>(num_procs), 0);
-  out.sent_bytes.assign(static_cast<std::size_t>(num_procs), 0);
-
-  // Footprint: a touched block is resident on its owner plus every rank
-  // whose tasks touch it (the received copy a message-passing backend must
-  // hold while the task runs).
-  const auto ev = event_chains(graph);
-  std::vector<char> on_rank(static_cast<std::size_t>(num_procs), 0);
-  for (std::size_t d = 0; d < ev.size(); ++d) {
-    if (ev[d].empty()) continue;
-    const DataHandle& h = graph.data()[d];
-    std::fill(on_rank.begin(), on_rank.end(), 0);
-    on_rank[static_cast<std::size_t>(h.owner)] = 1;
-    for (const Event& e : ev[d])
-      on_rank[static_cast<std::size_t>(
-          task_owner[static_cast<std::size_t>(e.task)])] = 1;
-    for (int r = 0; r < num_procs; ++r)
-      if (on_rank[static_cast<std::size_t>(r)])
-        out.footprint_bytes[static_cast<std::size_t>(r)] += h.bytes;
-  }
-
-  // Traffic: the simulator's data-flow walk — last writer per handle, one
-  // message per cross-rank (producer → consumer task) pair aggregating all
-  // blocks it supplies (matches distsim::count_messages exactly).
-  std::vector<TaskId> last_writer(graph.data().size(), -1);
-  for (const auto& t : graph.tasks()) {
-    std::map<TaskId, std::int64_t> incoming;
-    for (const auto& [d, mode] : t.accesses) {
-      const TaskId w = last_writer[static_cast<std::size_t>(d)];
-      if (w >= 0 && w != t.id) incoming[w] += graph.data(d).bytes;
-      if (is_write(mode)) last_writer[static_cast<std::size_t>(d)] = t.id;
-    }
-    const int pd = task_owner[static_cast<std::size_t>(t.id)];
-    for (const auto& [w, bytes] : incoming) {
-      const int ps = task_owner[static_cast<std::size_t>(w)];
-      if (ps == pd) continue;
-      out.sent_bytes[static_cast<std::size_t>(ps)] += bytes;
-      out.cross_bytes += bytes;
-      ++out.cross_messages;
-    }
-  }
-  return out;
-}
-
 bool analyze_dag_default() {
-  if (const char* env = std::getenv("HATRIX_ANALYZE_DAG")) {
-    const std::string v(env);
-    if (v == "0" || v == "false" || v == "off" || v == "OFF") return false;
-    return true;
-  }
-#ifdef NDEBUG
-  return false;
-#else
-  return true;
-#endif
+  return detail::env_flag_default("HATRIX_ANALYZE_DAG");
 }
 
 }  // namespace hatrix::rt

@@ -19,9 +19,7 @@
 ///     schedule (via the same ancestor bitsets the race check uses);
 ///  3. a last-use release schedule (ReleasePlan) the executor consumes via
 ///     TaskGraph::set_release_hook, so emitters can free retired blocks at
-///     their statically-proven last use instead of at teardown;
-///  4. under a distsim mapping, per-rank footprint and cross-rank traffic
-///     (analyze_dag_ranks), matching distsim::count_messages' edge walk.
+///     their statically-proven last use instead of at teardown.
 ///
 /// This is the static block-storage budgeting that task-based sparse solvers
 /// (Jacquelin et al.'s fan-both Cholesky, Lacoste et al.'s runtime-backed
@@ -110,19 +108,6 @@ struct DagDataflowReport {
   ReleasePlan plan;
 };
 
-/// Per-rank usage under a task→rank mapping (analyze_dag_ranks).
-struct RankUsage {
-  /// Bytes resident on each rank: blocks it owns plus copies of remote
-  /// blocks its tasks touch.
-  std::vector<std::int64_t> footprint_bytes;
-  /// Bytes each rank sends to other ranks (producer-side accounting).
-  std::vector<std::int64_t> sent_bytes;
-  std::int64_t cross_bytes = 0;     ///< total cross-rank traffic
-  std::int64_t cross_messages = 0;  ///< producer→consumer-task messages,
-                                    ///< aggregated per pair like
-                                    ///< distsim::count_messages
-};
-
 /// Run the dataflow pass: throws DagUseBeforeDefError on the first read of a
 /// never-written non-input handle; otherwise returns lifetimes, warnings,
 /// the release schedule and the peak-bytes statistics. Cost is O(V + E + A)
@@ -135,14 +120,6 @@ DagDataflowReport analyze_dag(const TaskGraph& graph);
 /// O(V + A) sweep. Executors call this when a release hook is installed,
 /// whether or not full analysis is enabled.
 ReleasePlan release_plan(const TaskGraph& graph);
-
-/// Per-rank footprint and cross-rank traffic of `graph` under the mapping
-/// `task_owner` (one rank id per task, e.g. distsim::Mapping::task_owner).
-/// Traffic walks the last-writer chain exactly like the simulator's
-/// data-flow edges, so cross_messages/cross_bytes agree with
-/// distsim::count_messages on the same mapping.
-RankUsage analyze_dag_ranks(const TaskGraph& graph,
-                            const std::vector<int>& task_owner, int num_procs);
 
 /// Default analyze-before-run policy for executors, mirroring
 /// verify_dag_default(): HATRIX_ANALYZE_DAG forces on/off; unset means on in

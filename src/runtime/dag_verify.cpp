@@ -2,16 +2,91 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 #include <vector>
+
+#include "runtime/dag_detail.hpp"
 
 namespace hatrix::rt {
 
-namespace {
+namespace detail {
 
 std::string task_label(const TaskGraph& g, TaskId t) {
   return g.tasks()[static_cast<std::size_t>(t)].name + " (#" + std::to_string(t) +
          ")";
 }
+
+bool env_flag_default(const char* var) {
+  if (const char* env = std::getenv(var)) {
+    const std::string v(env);
+    return !(v == "0" || v == "false" || v == "off" || v == "OFF");
+  }
+#ifdef NDEBUG
+  return false;
+#else
+  return true;
+#endif
+}
+
+std::vector<std::vector<Event>> event_chains(const TaskGraph& graph) {
+  std::vector<std::vector<Event>> ev(graph.data().size());
+  for (const auto& t : graph.tasks())
+    for (const auto& [d, mode] : t.accesses)
+      ev[static_cast<std::size_t>(d)].push_back({t.id, mode});
+  return ev;
+}
+
+OrderedPreds ordered_preds(const TaskGraph& graph, std::vector<TaskId> order) {
+  const auto n = static_cast<std::size_t>(graph.num_tasks());
+  if (order.empty()) {
+    order.resize(n);
+    std::iota(order.begin(), order.end(), TaskId{0});
+  }
+  std::vector<std::size_t> pos(n);
+  for (std::size_t i = 0; i < n; ++i) pos[static_cast<std::size_t>(order[i])] = i;
+  OrderedPreds op{std::move(order), std::vector<std::vector<TaskId>>(n)};
+  for (std::size_t t = 0; t < n; ++t)
+    for (TaskId s : graph.successors()[t])
+      if (s >= 0 && s < graph.num_tasks() &&
+          pos[static_cast<std::size_t>(s)] > pos[t])
+        op.preds[static_cast<std::size_t>(s)].push_back(static_cast<TaskId>(t));
+  return op;
+}
+
+void fill_shape(const OrderedPreds& op, DagStats& stats) {
+  const std::size_t n = op.order.size();
+  if (n == 0) return;
+  std::vector<std::int64_t> depth(n, 1);
+  for (TaskId id : op.order) {
+    const auto t = static_cast<std::size_t>(id);
+    for (TaskId p : op.preds[t])
+      depth[t] = std::max(depth[t], depth[static_cast<std::size_t>(p)] + 1);
+  }
+  stats.critical_path = *std::max_element(depth.begin(), depth.end());
+  std::vector<std::int64_t> width(static_cast<std::size_t>(stats.critical_path), 0);
+  for (std::int64_t d : depth) ++width[static_cast<std::size_t>(d - 1)];
+  stats.max_width = *std::max_element(width.begin(), width.end());
+  stats.avg_width =
+      static_cast<double>(n) / static_cast<double>(stats.critical_path);
+}
+
+AncestorSets::AncestorSets(const OrderedPreds& op)
+    : words_((op.order.size() + 63) / 64), bits_(op.order.size() * words_, 0) {
+  for (TaskId id : op.order) {
+    const auto t = static_cast<std::size_t>(id);
+    std::uint64_t* row = bits_.data() + t * words_;
+    for (TaskId p : op.preds[t]) {
+      const auto pi = static_cast<std::size_t>(p);
+      const std::uint64_t* prow = bits_.data() + pi * words_;
+      for (std::size_t w = 0; w < words_; ++w) row[w] |= prow[w];
+      row[pi / 64] |= std::uint64_t{1} << (pi % 64);
+    }
+  }
+}
+
+}  // namespace detail
+
+namespace {
 
 [[noreturn]] void structure_fail(const std::string& what) {
   throw DagStructureError("dag_verify: " + what);
@@ -48,19 +123,19 @@ DagStats verify_dag(const TaskGraph& graph) {
     for (TaskId s : graph.successors()[t]) {
       if (s < 0 || s >= graph.num_tasks())
         structure_fail("dangling dependency — task " +
-                       task_label(graph, static_cast<TaskId>(t)) +
+                       detail::task_label(graph, static_cast<TaskId>(t)) +
                        " lists successor #" + std::to_string(s) +
                        " which is not a task of this graph");
       if (s == static_cast<TaskId>(t))
         structure_fail("self-dependency on task " +
-                       task_label(graph, static_cast<TaskId>(t)));
+                       detail::task_label(graph, static_cast<TaskId>(t)));
       ++indeg[static_cast<std::size_t>(s)];
     }
   }
   for (std::size_t t = 0; t < n; ++t) {
     if (indeg[t] != graph.in_degree()[t])
       structure_fail("in-degree bookkeeping mismatch on task " +
-                     task_label(graph, static_cast<TaskId>(t)) + " (stored " +
+                     detail::task_label(graph, static_cast<TaskId>(t)) + " (stored " +
                      std::to_string(graph.in_degree()[t]) + ", edges say " +
                      std::to_string(indeg[t]) + ")");
   }
@@ -84,73 +159,35 @@ DagStats verify_dag(const TaskGraph& graph) {
     for (std::size_t t = 0; t < n; ++t)
       if (remaining[t] > 0)
         structure_fail("dependency cycle through task " +
-                       task_label(graph, static_cast<TaskId>(t)));
+                       detail::task_label(graph, static_cast<TaskId>(t)));
   }
 
-  // --- Depth / width statistics over the topological order.
-  std::vector<std::int64_t> depth(n, 1);
-  for (TaskId id : topo) {
-    const auto t = static_cast<std::size_t>(id);
-    for (TaskId s : graph.successors()[t])
-      depth[static_cast<std::size_t>(s)] =
-          std::max(depth[static_cast<std::size_t>(s)], depth[t] + 1);
-  }
-  stats.critical_path = *std::max_element(depth.begin(), depth.end());
-  std::vector<std::int64_t> width(static_cast<std::size_t>(stats.critical_path), 0);
-  for (std::size_t t = 0; t < n; ++t)
-    ++width[static_cast<std::size_t>(depth[t] - 1)];
-  stats.max_width = *std::max_element(width.begin(), width.end());
-  stats.avg_width =
-      static_cast<double>(stats.tasks) / static_cast<double>(stats.critical_path);
-
-  // --- Race detection. Ancestor sets as bitsets, built in topological
-  // order: anc[t] = union over predecessors p of (anc[p] | {p}). One
-  // 64-bit word covers 64 tasks, so the sweep is O(E·V/64) time and
-  // O(V²/64) space — a 5 000-task production DAG costs ~3 MB and
-  // single-digit milliseconds.
-  const std::size_t words = (n + 63) / 64;
-  std::vector<std::vector<TaskId>> preds(n);
-  for (std::size_t t = 0; t < n; ++t)
-    for (TaskId s : graph.successors()[t])
-      preds[static_cast<std::size_t>(s)].push_back(static_cast<TaskId>(t));
-  std::vector<std::uint64_t> anc(n * words, 0);
-  for (TaskId id : topo) {
-    const auto t = static_cast<std::size_t>(id);
-    std::uint64_t* row = anc.data() + t * words;
-    for (TaskId p : preds[t]) {
-      const auto pi = static_cast<std::size_t>(p);
-      const std::uint64_t* prow = anc.data() + pi * words;
-      for (std::size_t w = 0; w < words; ++w) row[w] |= prow[w];
-      row[pi / 64] |= std::uint64_t{1} << (pi % 64);
-    }
-  }
+  // --- Depth/width statistics and race detection, both over the
+  // topological order.
+  const detail::OrderedPreds op = detail::ordered_preds(graph, std::move(topo));
+  detail::fill_shape(op, stats);
+  const detail::AncestorSets anc(op);
   auto ordered = [&](TaskId a, TaskId b) {
-    const auto ai = static_cast<std::size_t>(a), bi = static_cast<std::size_t>(b);
-    return ((anc[bi * words + ai / 64] >> (ai % 64)) & 1) != 0 ||
-           ((anc[ai * words + bi / 64] >> (bi % 64)) & 1) != 0;
+    return anc.precedes(a, b) || anc.precedes(b, a);
   };
 
   // Per resource, every pair with at least one writer must be ordered.
   // Read-only sharing is free; the nested loop only walks writer×accessor
   // pairs, and production DAGs have single-digit accessor counts per
   // resource.
-  const auto nd = static_cast<std::size_t>(graph.data().size());
-  std::vector<std::vector<std::pair<TaskId, Access>>> touch(nd);
-  for (std::size_t t = 0; t < n; ++t)
-    for (const auto& [d, mode] : graph.tasks()[t].accesses)
-      touch[static_cast<std::size_t>(d)].emplace_back(static_cast<TaskId>(t), mode);
-  for (std::size_t d = 0; d < nd; ++d) {
+  const auto touch = detail::event_chains(graph);
+  for (std::size_t d = 0; d < touch.size(); ++d) {
     const auto& acc = touch[d];
     for (std::size_t i = 0; i < acc.size(); ++i) {
-      if (!is_write(acc[i].second)) continue;
+      if (!is_write(acc[i].mode)) continue;
       for (std::size_t j = 0; j < acc.size(); ++j) {
         if (j == i) continue;
         // Writer/writer pairs are checked once (from the earlier index).
-        if (is_write(acc[j].second) && j < i) continue;
-        if (acc[i].first == acc[j].first) continue;  // same task, two accesses
-        if (!ordered(acc[i].first, acc[j].first)) {
-          const TaskId a = std::min(acc[i].first, acc[j].first);
-          const TaskId b = std::max(acc[i].first, acc[j].first);
+        if (is_write(acc[j].mode) && j < i) continue;
+        if (acc[i].task == acc[j].task) continue;  // same task, two accesses
+        if (!ordered(acc[i].task, acc[j].task)) {
+          const TaskId a = std::min(acc[i].task, acc[j].task);
+          const TaskId b = std::max(acc[i].task, acc[j].task);
           throw DagRaceError(
               a, graph.tasks()[static_cast<std::size_t>(a)].name, b,
               graph.tasks()[static_cast<std::size_t>(b)].name,
@@ -170,7 +207,7 @@ std::vector<double> bottom_levels(const TaskGraph& graph, const TaskCostFn& cost
   std::vector<double> bl(n, 0.0);
   // Insertion order is topological, so a single reverse sweep resolves every
   // successor before its predecessors. Non-forward edges (test-only splices)
-  // are skipped, matching critical_path_length().
+  // are skipped.
   for (std::size_t t = n; t-- > 0;) {
     double down = 0.0;
     for (TaskId s : graph.successors()[t])
@@ -181,17 +218,6 @@ std::vector<double> bottom_levels(const TaskGraph& graph, const TaskCostFn& cost
   return bl;
 }
 
-bool verify_dag_default() {
-  if (const char* env = std::getenv("HATRIX_VERIFY_DAG")) {
-    const std::string v(env);
-    if (v == "0" || v == "false" || v == "off" || v == "OFF") return false;
-    return true;
-  }
-#ifdef NDEBUG
-  return false;
-#else
-  return true;
-#endif
-}
+bool verify_dag_default() { return detail::env_flag_default("HATRIX_VERIFY_DAG"); }
 
 }  // namespace hatrix::rt

@@ -91,9 +91,11 @@ DagStats verify_dag(const TaskGraph& graph);
 /// critical-path priority — a task whose subtree carries more remaining work
 /// gets a larger value, so a scheduler draining highest-bottom-level-first
 /// follows the cost-weighted critical path (top-of-tree ULV tasks win over
-/// wide cheap leaves). Assumes insertion order is topological, which
-/// TaskGraph::insert_task guarantees; edges spliced backwards by the
-/// test-only mutators are ignored.
+/// wide cheap leaves). This is the runtime's one longest-path sweep:
+/// TaskGraph::critical_path_length is its maximum under unit cost and
+/// critical_path_time its maximum under measured task durations. Assumes
+/// insertion order is topological, which TaskGraph::insert_task guarantees;
+/// edges spliced backwards by the test-only mutators are ignored.
 std::vector<double> bottom_levels(const TaskGraph& graph, const TaskCostFn& cost);
 
 /// Default verify-before-run policy for executors: the HATRIX_VERIFY_DAG

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "runtime/dag_verify.hpp"
+
 namespace hatrix::rt {
 
 std::string node_tag(int level, std::int64_t index) {
@@ -54,7 +56,6 @@ void TaskGraph::add_edge(TaskId from, TaskId to) {
 TaskId TaskGraph::insert_task(Task t) {
   const TaskId id = static_cast<TaskId>(tasks_.size());
   t.id = id;
-  critical_path_cache_ = -1;
   succ_.emplace_back();
   in_degree_.push_back(0);
 
@@ -81,7 +82,6 @@ bool TaskGraph::drop_dependency_for_test(TaskId from, TaskId to) {
   auto& s = succ_[static_cast<std::size_t>(from)];
   auto it = std::find(s.begin(), s.end(), to);
   if (it == s.end()) return false;
-  critical_path_cache_ = -1;
   s.erase(it);
   if (to >= 0 && to < num_tasks()) --in_degree_[static_cast<std::size_t>(to)];
   --num_edges_;
@@ -100,7 +100,6 @@ bool TaskGraph::drop_access_for_test(TaskId t, DataId d) {
 
 void TaskGraph::add_dependency_for_test(TaskId from, TaskId to) {
   HATRIX_CHECK(from >= 0 && from < num_tasks(), "bad source task id");
-  critical_path_cache_ = -1;
   succ_[static_cast<std::size_t>(from)].push_back(to);
   if (to >= 0 && to < num_tasks()) {
     ++in_degree_[static_cast<std::size_t>(to)];
@@ -125,24 +124,9 @@ TaskId TaskGraph::insert_task(std::string name, std::string kind,
 }
 
 std::int64_t TaskGraph::critical_path_length() const {
-  if (critical_path_cache_ >= 0) return critical_path_cache_;
-  // Tasks are inserted in a valid topological order (edges only point from
-  // earlier to later insertions), so one forward sweep suffices. Test-only
-  // edge surgery can splice in backward or dangling edges; those are skipped
-  // here (the verifier, not this statistic, is responsible for rejecting
-  // them).
-  std::vector<std::int64_t> depth(tasks_.size(), 1);
-  std::int64_t best = tasks_.empty() ? 0 : 1;
-  for (std::size_t t = 0; t < tasks_.size(); ++t) {
-    for (TaskId s : succ_[t]) {
-      if (s <= static_cast<TaskId>(t) || s >= num_tasks()) continue;
-      auto& d = depth[static_cast<std::size_t>(s)];
-      d = std::max(d, depth[t] + 1);
-      best = std::max(best, d);
-    }
-  }
-  critical_path_cache_ = best;
-  return best;
+  const auto bl = bottom_levels(*this, [](const Task&) { return 1.0; });
+  return bl.empty() ? 0
+                    : static_cast<std::int64_t>(*std::max_element(bl.begin(), bl.end()));
 }
 
 }  // namespace hatrix::rt

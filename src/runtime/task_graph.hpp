@@ -138,9 +138,8 @@ class TaskGraph {
   /// Number of dependency edges (deduplicated).
   [[nodiscard]] std::int64_t num_edges() const { return num_edges_; }
 
-  /// Length (in tasks) of the longest chain — the unit-cost critical path.
-  /// Memoized: the first call after a mutation (insert_task or the test-only
-  /// edge surgery) recomputes in O(V + E); repeated queries are O(1).
+  /// Length (in tasks) of the longest chain — the unit-cost critical path,
+  /// the maximum of rt::bottom_levels under unit cost. O(V + E) per call.
   [[nodiscard]] std::int64_t critical_path_length() const;
 
   /// Test-only mutation: remove the dependency edge `from` → `to`, leaving
@@ -175,11 +174,6 @@ class TaskGraph {
   std::vector<std::vector<TaskId>> succ_;
   std::vector<int> in_degree_;
   std::int64_t num_edges_ = 0;
-
-  // critical_path_length() cache; -1 = stale. Every mutation of the edge set
-  // (insert_task, drop_dependency_for_test, add_dependency_for_test) resets
-  // it, so a query after graph surgery never returns a stale length.
-  mutable std::int64_t critical_path_cache_ = -1;
 
   // DTD bookkeeping per data block.
   struct DataState {

@@ -81,8 +81,6 @@ class ThreadPoolExecutor {
   /// rt::verify_dag_default(): on in debug builds, off in release, always
   /// overridable via the HATRIX_VERIFY_DAG environment variable.
   void set_verify_dag(bool enabled) { verify_dag_ = enabled; }
-  /// Whether run() statically verifies the graph before executing it.
-  [[nodiscard]] bool verify_dag_enabled() const { return verify_dag_; }
 
   /// Toggle static dataflow analysis (dag_dataflow.hpp) before execution.
   /// When enabled, run() throws DagUseBeforeDefError — directly, never

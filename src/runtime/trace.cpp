@@ -5,6 +5,8 @@
 #include <map>
 #include <sstream>
 
+#include "runtime/dag_verify.hpp"
+
 namespace hatrix::rt {
 
 std::string validate_trace(const TaskGraph& graph, const ExecutionStats& stats) {
@@ -74,24 +76,13 @@ std::string validate_trace(const TaskGraph& graph, const ExecutionStats& stats) 
 
 double critical_path_time(const TaskGraph& graph, const ExecutionStats& stats) {
   const auto n = static_cast<std::size_t>(graph.num_tasks());
-  if (n == 0) return 0.0;
   std::vector<double> dur(n, 0.0);
   for (const auto& tr : stats.traces)
     if (tr.task >= 0 && static_cast<std::size_t>(tr.task) < n)
-      dur[static_cast<std::size_t>(tr.task)] = std::max(0.0, tr.duration());
-  // comp[t] = dur[t] + max over predecessors comp[p]; insertion order is
-  // topological so one forward sweep over the successor lists suffices.
-  std::vector<double> comp = dur;
-  double best = 0.0;
-  for (std::size_t t = 0; t < n; ++t) {
-    best = std::max(best, comp[t]);
-    for (TaskId s : graph.successors()[t]) {
-      if (s <= static_cast<TaskId>(t) || s >= graph.num_tasks()) continue;
-      auto& c = comp[static_cast<std::size_t>(s)];
-      c = std::max(c, comp[t] + dur[static_cast<std::size_t>(s)]);
-    }
-  }
-  return best;
+      dur[static_cast<std::size_t>(tr.task)] = tr.duration();
+  const auto bl = bottom_levels(
+      graph, [&](const Task& t) { return dur[static_cast<std::size_t>(t.id)]; });
+  return bl.empty() ? 0.0 : *std::max_element(bl.begin(), bl.end());
 }
 
 std::string to_chrome_trace(const TaskGraph& graph, const ExecutionStats& stats) {

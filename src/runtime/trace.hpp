@@ -55,10 +55,6 @@ struct ExecutionStats {
   [[nodiscard]] double overhead_per_worker() const {
     return workers > 0 ? overhead_total / workers : 0.0;
   }
-  /// Average per-worker discovery / ready-queue time.
-  [[nodiscard]] double discovery_per_worker() const {
-    return workers > 0 ? discovery_total / workers : 0.0;
-  }
   /// Fraction of total worker-seconds spent on discovery — the ablation's
   /// "DTD overhead share" once the DAG emission time is added by the caller.
   [[nodiscard]] double discovery_share() const {
@@ -79,7 +75,8 @@ std::string validate_trace(const TaskGraph& graph, const ExecutionStats& stats);
 /// most expensive dependency chain with every task weighted by its measured
 /// duration. critical_path_time / wall_time is the critical-path
 /// utilization — 1.0 means the executor ran the critical path back-to-back
-/// with zero stall, lower means scheduling stalls stretched it.
+/// with zero stall, lower means scheduling stalls stretched it. It is the
+/// maximum of rt::bottom_levels with each task weighted by its duration.
 double critical_path_time(const TaskGraph& graph, const ExecutionStats& stats);
 
 /// Export a trace as Chrome/Perfetto trace-event JSON (open in

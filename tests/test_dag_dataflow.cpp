@@ -2,11 +2,12 @@
 // def-use chain semantics (use-before-def, dead stores and the trailing
 // in-place-update exemption, write-after-last-read, dead tasks, zero-byte
 // handles), lifetime intervals and the last-use release schedule, the exact
-// serial peak and the any-schedule peak bound, per-rank footprint/traffic
-// against distsim::count_messages, the analyze-before-run executor mode, the
-// release hook firing exactly once per handle on all three executors, and
-// the regression proving seeded annotation bugs in the real N=8192 HSS
-// builder DAG are flagged with the exact task and resource names.
+// serial peak and the any-schedule peak bound, the depth/width statistics
+// against verify_dag and TaskGraph::critical_path_length on the production
+// DAGs, the analyze-before-run executor mode, the release hook firing
+// exactly once per handle on all three executors, and the regression
+// proving seeded annotation bugs in the real N=8192 HSS builder DAG are
+// flagged with the exact task and resource names.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -18,7 +19,6 @@
 
 #include "blrchol/blr_cholesky_tasks.hpp"
 #include "common/timer.hpp"
-#include "distsim/des.hpp"
 #include "format/accessor.hpp"
 #include "format/hss_builder.hpp"
 #include "format/hss_builder_tasks.hpp"
@@ -26,6 +26,7 @@
 #include "kernels/kernel_matrix.hpp"
 #include "kernels/kernels.hpp"
 #include "runtime/dag_dataflow.hpp"
+#include "runtime/dag_verify.hpp"
 #include "runtime/thread_pool_executor.hpp"
 #include "ulv/hss_solve_tasks.hpp"
 #include "ulv/hss_ulv_tasks.hpp"
@@ -64,6 +65,19 @@ struct Problem {
     acc = std::make_unique<fmt::KernelAccessor>(*km);
   }
 };
+
+// The analyzer and the verifier report one DAG shape, and its critical path
+// is the graph's own unit-cost longest chain.
+void expect_shape_matches_verifier(const rt::TaskGraph& g) {
+  const rt::DagStats a = rt::analyze_dag(g).stats;
+  const rt::DagStats v = rt::verify_dag(g);
+  EXPECT_EQ(a.critical_path, v.critical_path);
+  EXPECT_EQ(a.critical_path, g.critical_path_length());
+  EXPECT_EQ(a.max_width, v.max_width);
+  EXPECT_DOUBLE_EQ(a.avg_width, v.avg_width);
+  EXPECT_GT(a.critical_path, 1);
+  EXPECT_GT(a.max_width, 1);
+}
 
 // ---------------------------------------------------------------- semantics
 
@@ -321,6 +335,7 @@ TEST(DagDataflow, ProductionEmittersAnalyzeClean) {
   EXPECT_TRUE(build_rep.warnings.empty());
   EXPECT_GT(build_rep.stats.peak_bytes_serial, 0);
   EXPECT_GE(build_rep.stats.peak_bytes_any, build_rep.stats.peak_bytes_serial);
+  expect_shape_matches_verifier(build_graph);
 
   rt::ThreadPoolExecutor ex(2);
   ex.run(build_graph);
@@ -330,6 +345,7 @@ TEST(DagDataflow, ProductionEmittersAnalyzeClean) {
   auto factor_dag = ulv::emit_hss_ulv_dag(h, factor_graph, /*with_work=*/true);
   rt::DagDataflowReport factor_rep = rt::analyze_dag(factor_graph);
   EXPECT_TRUE(factor_rep.warnings.empty());
+  expect_shape_matches_verifier(factor_graph);
   ex.run(factor_graph);
   ulv::HSSULV f = ulv::extract_factorization(factor_dag);
 
@@ -338,6 +354,7 @@ TEST(DagDataflow, ProductionEmittersAnalyzeClean) {
   ulv::emit_hss_solve_dag(f, {b.data(), 512, 1, 512}, {x.data(), 512, 1, 512},
                           solve_graph);
   EXPECT_TRUE(rt::analyze_dag(solve_graph).warnings.empty());
+  expect_shape_matches_verifier(solve_graph);
 }
 
 TEST(DagDataflow, CostingDagsAnalyzeClean) {
@@ -345,43 +362,19 @@ TEST(DagDataflow, CostingDagsAnalyzeClean) {
   rt::TaskGraph ulv_graph;
   (void)ulv::emit_hss_ulv_dag(hss_skel, ulv_graph, /*with_work=*/false);
   EXPECT_TRUE(rt::analyze_dag(ulv_graph).warnings.empty());
+  expect_shape_matches_verifier(ulv_graph);
 
   fmt::BLRMatrix blr_skel = fmt::make_blr_skeleton(1024, 128, 16);
   rt::TaskGraph blr_graph;
   (void)blrchol::emit_blr_cholesky_dag(blr_skel, blr_graph, /*with_work=*/false);
   EXPECT_TRUE(rt::analyze_dag(blr_graph).warnings.empty());
+  expect_shape_matches_verifier(blr_graph);
 
   rt::TaskGraph dense_graph;
   (void)blrchol::emit_dense_cholesky_dag({}, 1024, 128, dense_graph,
                                          /*with_work=*/false);
   EXPECT_TRUE(rt::analyze_dag(dense_graph).warnings.empty());
-}
-
-// ----------------------------------------------- per-rank usage vs distsim
-
-TEST(DagDataflow, RankTrafficMatchesDistsimCountMessages) {
-  fmt::HSSMatrix skel = fmt::make_hss_skeleton(4096, 256, 32);
-  rt::TaskGraph graph;
-  auto dag = ulv::emit_hss_ulv_dag(skel, graph, /*with_work=*/false);
-  distsim::Mapping map = distsim::map_hss_row_cyclic(dag, graph, 4);
-
-  rt::RankUsage usage = rt::analyze_dag_ranks(graph, map.task_owner, 4);
-  distsim::CommStats comm = distsim::count_messages(graph, map);
-  EXPECT_EQ(usage.cross_messages, comm.messages);
-  EXPECT_EQ(usage.cross_bytes, comm.bytes);
-
-  std::int64_t sent = 0;
-  for (auto s : usage.sent_bytes) sent += s;
-  EXPECT_EQ(sent, usage.cross_bytes);
-  // Every rank holds something; replicated copies push the total footprint
-  // to at least the touched bytes.
-  std::int64_t foot = 0;
-  for (auto f : usage.footprint_bytes) {
-    EXPECT_GT(f, 0);
-    foot += f;
-  }
-  rt::DagDataflowReport rep = rt::analyze_dag(graph);
-  EXPECT_GE(foot, rep.stats.data_bytes);
+  expect_shape_matches_verifier(dense_graph);
 }
 
 // ------------------------------------- seeded mutations, real N=8192 builder

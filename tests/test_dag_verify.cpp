@@ -337,7 +337,6 @@ TEST(DagVerifyExecutors, VerifyingExecutorRefusesRacyGraphBeforeAnyWork) {
   // With verification off the (benignly) racy graph still executes — the
   // verifier is a gate, not a scheduler constraint.
   pool.set_verify_dag(false);
-  EXPECT_FALSE(pool.verify_dag_enabled());
   pool.run(g);
   EXPECT_EQ(ran.load(), 2);
 }
