@@ -1,6 +1,8 @@
 // Micro-benchmarks of the dense kernels behind every factorization, plus
 // the cost-model calibration data (the sustained flop rate the simulator's
-// CostModel::calibrated() would pick on this host). Self-timed — each case
+// CostModel::calibrated() would pick on this host), plus the kernel-matrix
+// fill rate (Mentries/s) of the vectorized Green's-function loops that
+// every HSS build reads its entries through. Self-timed — each case
 // repeats until it has accumulated enough wall time for a stable average —
 // and the results land in BENCH_linalg.json next to the solve-throughput
 // numbers so kernel regressions show up in version control.
@@ -16,6 +18,9 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
+#include "geometry/domain.hpp"
+#include "kernels/kernel_matrix.hpp"
+#include "kernels/kernels.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/qr.hpp"
@@ -34,6 +39,7 @@ struct Case {
   double seconds_per_iter = 0.0;
   std::int64_t iterations = 0;
   double gflops = 0.0;  ///< 0 when no flop count applies
+  double mentries_per_s = 0.0;  ///< kernel-matrix entries per second / 1e6
 };
 
 /// Run `body` repeatedly until `min_time` seconds have accumulated (at least
@@ -182,18 +188,35 @@ int main(int argc, char** argv) {
     }));
   }
 
-  TextTable table({"kernel", "n", "shape", "us/iter", "iters", "GFLOP/s"});
+  // Kernel-matrix fill: a 256 x 768 block (leaf x leaf + samples at the
+  // e2e Yukawa shape) of the paper kernels on a 2D grid, through
+  // KernelMatrix::fill_block as the HSS builder calls it.
+  for (const char* name : {"yukawa", "matern"}) {
+    const la::index_t m = 256, n = 768;
+    auto kernel = kernels::make_kernel(name);
+    const kernels::KernelMatrix km(*kernel, geom::grid2d(m + n).points);
+    Matrix out(m, n);
+    Case c = timed(std::string("kernel_fill_") + name, m, 0.0, min_time,
+                   [&] { km.fill_block(0, m, out.view()); },
+                   std::to_string(m) + "x" + std::to_string(n));
+    c.mentries_per_s = static_cast<double>(m * n) / c.seconds_per_iter / 1e6;
+    cases.push_back(c);
+  }
+
+  TextTable table({"kernel", "n", "shape", "us/iter", "iters", "GFLOP/s", "Mentries/s"});
   BenchJson json("micro_linalg");
   for (const auto& c : cases) {
     table.add_row({c.name, std::to_string(c.n), c.shape.empty() ? "-" : c.shape,
                    fmt_fixed(c.seconds_per_iter * 1e6, 1),
                    std::to_string(c.iterations),
-                   c.gflops > 0.0 ? fmt_fixed(c.gflops, 2) : "-"});
+                   c.gflops > 0.0 ? fmt_fixed(c.gflops, 2) : "-",
+                   c.mentries_per_s > 0.0 ? fmt_fixed(c.mentries_per_s, 1) : "-"});
     auto& row = json.row().add("kernel", c.name).add("n", static_cast<std::int64_t>(c.n));
     if (!c.shape.empty()) row.add("shape", c.shape);
     row.add("seconds_per_iter", c.seconds_per_iter)
         .add("iterations", c.iterations)
         .add("gflops", c.gflops);
+    if (c.mentries_per_s > 0.0) row.add("mentries_per_s", c.mentries_per_s);
   }
   std::printf("%s\n", csv ? table.to_csv().c_str() : table.to_string().c_str());
   if (!json_path.empty()) {

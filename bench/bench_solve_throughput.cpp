@@ -5,6 +5,8 @@
 // batch widens; the column-loop oracle (the pre-blocked code path) is timed
 // on the same workload to report the speedup, and its output is compared
 // entry-for-entry (the blocked path is bit-identical by construction).
+// Each cell repeats its pass until 0.5 s have accumulated (at least 5
+// passes) and reports the median pass with the quartiles beside it.
 //
 //   ./bench_solve_throughput [--n 2048] [--leaf 256] [--rank 60]
 //                            [--kernel yukawa] [--samples 256]
@@ -41,14 +43,15 @@ int main(int argc, char** argv) {
 
   std::printf(
       "Solve throughput: %s kernel, N=%lld leaf=%lld rank=%lld, %lld RHS "
-      "columns per cell, rounded up to whole panels per client\n",
+      "columns per cell, rounded up to whole panels per client; median pass "
+      "of >= %.2f s per cell\n",
       cfg.kernel.c_str(), static_cast<long long>(cfg.n),
       static_cast<long long>(cfg.leaf_size), static_cast<long long>(cfg.max_rank),
-      static_cast<long long>(cfg.solves));
+      static_cast<long long>(cfg.solves), driver::kSolveThroughputMinSeconds);
 
   const std::vector<la::index_t> widths{1, 4, 16, 64};
-  TextTable table({"batch", "clients", "columns", "solves/s", "blocked (s)", "oracle (s)",
-                   "speedup", "max |diff|", "solve err"});
+  TextTable table({"batch", "clients", "columns", "passes", "solves/s", "q1..q3",
+                   "blocked (s)", "oracle (s)", "speedup", "max |diff|", "solve err"});
   BenchJson json("solve_throughput");
   json.row()
       .add("row", std::string("provenance"))
@@ -60,7 +63,8 @@ int main(int argc, char** argv) {
       .add("leaf", static_cast<std::int64_t>(cfg.leaf_size))
       .add("rank", static_cast<std::int64_t>(cfg.max_rank))
       .add("samples", static_cast<std::int64_t>(cfg.sample_cols))
-      .add("solves_requested", static_cast<std::int64_t>(cfg.solves));
+      .add("solves_requested", static_cast<std::int64_t>(cfg.solves))
+      .add("min_seconds_per_cell", driver::kSolveThroughputMinSeconds);
 
   for (la::index_t w : widths) {
     for (int c = 1; c <= max_clients; c *= 2) {
@@ -72,8 +76,10 @@ int main(int argc, char** argv) {
       cfg.compare_oracle = c == 1;
       auto out = driver::run_solve_throughput(cfg);
       table.add_row({std::to_string(w), std::to_string(c),
-                     std::to_string(out.solved_columns),
+                     std::to_string(out.solved_columns), std::to_string(out.passes),
                      fmt_fixed(out.solves_per_second, 1),
+                     fmt_fixed(out.solves_per_second_q1, 0) + ".." +
+                         fmt_fixed(out.solves_per_second_q3, 0),
                      fmt_fixed(out.blocked_seconds, 4),
                      cfg.compare_oracle ? fmt_fixed(out.oracle_seconds, 4) : "-",
                      cfg.compare_oracle ? fmt_fixed(out.speedup_vs_oracle, 2) : "-",
@@ -83,7 +89,10 @@ int main(int argc, char** argv) {
           .add("batch", static_cast<std::int64_t>(w))
           .add("clients", static_cast<std::int64_t>(c))
           .add("solved_columns", static_cast<std::int64_t>(out.solved_columns))
+          .add("passes", static_cast<std::int64_t>(out.passes))
           .add("solves_per_second", out.solves_per_second)
+          .add("solves_per_second_q1", out.solves_per_second_q1)
+          .add("solves_per_second_q3", out.solves_per_second_q3)
           .add("blocked_seconds", out.blocked_seconds)
           .add("oracle_seconds", out.oracle_seconds)
           .add("speedup_vs_oracle", out.speedup_vs_oracle)

@@ -1,11 +1,15 @@
 #!/usr/bin/env sh
-# Performance regression gate for the dense kernel layer.
+# Performance regression gate for the dense kernel layer and the
+# kernel-matrix fill.
 #
-# Re-runs bench_micro_linalg and compares every flop-rated case (kernel, n)
-# against the committed baseline BENCH_linalg.json. A case fails when its
-# fresh GFLOP/s drops more than PERF_GATE_TOL (default 35% — micro-bench
-# noise on a shared machine is real, a kernel regression is much larger)
-# below the committed number. Independently of the relative check, the
+# Re-runs bench_micro_linalg and compares every rated case (kernel, n)
+# against the committed baseline BENCH_linalg.json: GFLOP/s for the dense
+# kernels, Mentries/s for the kernel_fill_* rows (the vectorized Green's-
+# function loops, which lose several times their rate when the loop stops
+# vectorizing, e.g. without kernels.cpp's per-source flags). A case fails
+# when its fresh rate drops more than PERF_GATE_TOL (default 35% —
+# micro-bench noise on a shared machine is real, a kernel regression is
+# much larger) below the committed number. Independently of the relative check, the
 # flagship case carries a hard floor: gemm n=256 must sustain at least
 # 6.83 GFLOP/s (2x the pre-blocking 3.41 baseline), so the tuned kernels
 # can never silently fall back to naive-era rates even if someone commits
@@ -44,9 +48,16 @@ fresh_path, base_path = sys.argv[1], sys.argv[2]
 tol = float(os.environ["PERF_GATE_TOL"])
 
 def load(path):
+    """(kernel, n) -> (rate, unit) for every row that carries a rate."""
     with open(path) as f:
         rows = json.load(f)["rows"]
-    return {(r["kernel"], r["n"]): r["gflops"] for r in rows if r.get("gflops", 0) > 0}
+    rated = {}
+    for r in rows:
+        if r.get("gflops", 0) > 0:
+            rated[(r["kernel"], r["n"])] = (r["gflops"], "GFLOP/s")
+        elif r.get("mentries_per_s", 0) > 0:
+            rated[(r["kernel"], r["n"])] = (r["mentries_per_s"], "Mentries/s")
+    return rated
 
 fresh, base = load(fresh_path), load(base_path)
 
@@ -54,22 +65,23 @@ fresh, base = load(fresh_path), load(base_path)
 FLOORS = {("gemm", 256): 6.83}
 
 failures = []
-print(f"{'kernel':<12} {'n':>5} {'baseline':>9} {'fresh':>9} {'ratio':>6}")
+print(f"{'kernel':<20} {'n':>5} {'baseline':>9} {'fresh':>9} {'ratio':>6}  unit")
 for key in sorted(base):
     if key not in fresh:
         failures.append(f"{key[0]} n={key[1]}: case missing from fresh run")
         continue
-    ratio = fresh[key] / base[key]
+    (want, unit), got = base[key], fresh[key][0]
+    ratio = got / want
     flag = ""
     if ratio < 1.0 - tol:
         failures.append(
-            f"{key[0]} n={key[1]}: {fresh[key]:.2f} GFLOP/s is "
-            f"{100 * (1 - ratio):.0f}% below baseline {base[key]:.2f}")
+            f"{key[0]} n={key[1]}: {got:.2f} {unit} is "
+            f"{100 * (1 - ratio):.0f}% below baseline {want:.2f}")
         flag = "  <-- REGRESSION"
-    print(f"{key[0]:<12} {key[1]:>5} {base[key]:>9.2f} {fresh[key]:>9.2f} {ratio:>6.2f}{flag}")
+    print(f"{key[0]:<20} {key[1]:>5} {want:>9.2f} {got:>9.2f} {ratio:>6.2f}  {unit}{flag}")
 
 for key, floor in FLOORS.items():
-    got = fresh.get(key, 0.0)
+    got = fresh.get(key, (0.0, ""))[0]
     if got < floor:
         failures.append(f"{key[0]} n={key[1]}: {got:.2f} GFLOP/s under hard floor {floor}")
 

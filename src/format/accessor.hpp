@@ -29,7 +29,8 @@ class BlockAccessor {
   /// Fill `out` with A([row0, row0+out.rows) x [col0, col0+out.cols)).
   virtual void fill_block(index_t row0, index_t col0, la::MatrixView out) const = 0;
 
-  /// Gather A(rows, cols) for arbitrary index sets.
+  /// Gather A(rows, cols) for arbitrary index sets. Throws hatrix::Error on
+  /// an index outside [0, size()).
   [[nodiscard]] virtual Matrix gather(const std::vector<index_t>& rows,
                                       const std::vector<index_t>& cols) const = 0;
 
@@ -60,7 +61,7 @@ class DenseAccessor final : public BlockAccessor {
   la::ConstMatrixView a_;
 };
 
-/// Accessor that evaluates a kernel matrix entry-by-entry (matrix-free).
+/// Accessor that evaluates a kernel matrix block by block (matrix-free).
 class KernelAccessor final : public BlockAccessor {
  public:
   /// Wrap a kernel matrix; it must outlive the accessor.

@@ -1,7 +1,6 @@
 #include "geometry/cluster_tree.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -95,18 +94,6 @@ const ClusterNode& ClusterTree::node(int level, index_t i) const {
   HATRIX_CHECK(level >= 0 && level <= max_level_, "level out of range");
   HATRIX_CHECK(i >= 0 && i < num_nodes(level), "node index out of range");
   return levels_[static_cast<std::size_t>(level)][static_cast<std::size_t>(i)];
-}
-
-double ClusterTree::diameter(int level, index_t i) const {
-  const ClusterNode& nd = node(level, i);
-  if (nd.size() == 0) return 0.0;
-  Box b = bounding_box(points_, nd.begin, nd.end);
-  double s = 0.0;
-  for (std::size_t d = 0; d < 3; ++d) {
-    const double w = b.hi[d] - b.lo[d];
-    s += w * w;
-  }
-  return std::sqrt(s);
 }
 
 }  // namespace hatrix::geom

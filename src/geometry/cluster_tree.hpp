@@ -49,10 +49,6 @@ class ClusterTree {
 
   [[nodiscard]] index_t size() const { return static_cast<index_t>(points_.size()); }
 
-  /// Geometric diameter of a node's point set (max pairwise distance bound
-  /// via the bounding box diagonal).
-  [[nodiscard]] double diameter(int level, index_t i) const;
-
  private:
   int max_level_ = 0;
   std::vector<std::vector<ClusterNode>> levels_;  // levels_[l][i]

@@ -16,7 +16,6 @@ double dist(const Point& a, const Point& b) {
 Domain grid2d(index_t n) {
   HATRIX_CHECK(n > 0, "grid2d needs n > 0");
   Domain d;
-  d.dim = 2;
   const auto side = static_cast<index_t>(std::ceil(std::sqrt(static_cast<double>(n))));
   const double h = side > 1 ? 1.0 / static_cast<double>(side - 1) : 0.0;
   d.points.reserve(static_cast<std::size_t>(n));
@@ -26,25 +25,9 @@ Domain grid2d(index_t n) {
   return d;
 }
 
-Domain grid3d(index_t n) {
-  HATRIX_CHECK(n > 0, "grid3d needs n > 0");
-  Domain d;
-  d.dim = 3;
-  const auto side = static_cast<index_t>(std::ceil(std::cbrt(static_cast<double>(n))));
-  const double h = side > 1 ? 1.0 / static_cast<double>(side - 1) : 0.0;
-  d.points.reserve(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < side && static_cast<index_t>(d.points.size()) < n; ++i)
-    for (index_t j = 0; j < side && static_cast<index_t>(d.points.size()) < n; ++j)
-      for (index_t k = 0; k < side && static_cast<index_t>(d.points.size()) < n; ++k)
-        d.points.push_back(Point{{static_cast<double>(i) * h, static_cast<double>(j) * h,
-                                  static_cast<double>(k) * h}});
-  return d;
-}
-
 Domain circle2d(index_t n) {
   HATRIX_CHECK(n > 0, "circle2d needs n > 0");
   Domain d;
-  d.dim = 2;
   d.points.reserve(static_cast<std::size_t>(n));
   const double two_pi = 2.0 * 3.14159265358979323846;
   for (index_t i = 0; i < n; ++i) {
@@ -56,7 +39,6 @@ Domain circle2d(index_t n) {
 
 Domain random2d(index_t n, Rng& rng) {
   Domain d;
-  d.dim = 2;
   d.points.reserve(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i)
     d.points.push_back(Point{{rng.uniform(), rng.uniform(), 0.0}});

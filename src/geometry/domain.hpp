@@ -4,8 +4,8 @@
 ///
 /// The paper evaluates every implementation on a uniform 2D grid geometry
 /// (Sec. 5); we provide that plus the other standard BEM/geostatistics
-/// layouts (circle boundary, random 2D clouds, 3D grid) so examples can
-/// exercise realistic scenarios.
+/// layouts (circle boundary, random 2D clouds) so examples can exercise
+/// realistic scenarios.
 
 #include <array>
 #include <cstdint>
@@ -28,10 +28,9 @@ struct Point {
 /// Euclidean distance.
 double dist(const Point& a, const Point& b);
 
-/// A finite point set plus its intrinsic dimension.
+/// A finite point set.
 struct Domain {
   std::vector<Point> points;
-  int dim = 2;
 
   [[nodiscard]] index_t size() const { return static_cast<index_t>(points.size()); }
 };
@@ -40,9 +39,6 @@ struct Domain {
 /// ceil(sqrt(n)) x ... grid truncated to exactly n points, row-major order).
 /// This is the geometry of the paper's evaluation.
 Domain grid2d(index_t n);
-
-/// Uniform grid over the unit cube with exactly n points.
-Domain grid3d(index_t n);
 
 /// n equispaced points on the unit circle (a 2D BEM boundary).
 Domain circle2d(index_t n);

@@ -208,41 +208,59 @@ SolveThroughputOutcome run_solve_throughput(const SolveThroughputExperiment& cfg
 
   // Panels round-robin across client threads; every client solves against
   // the one shared factorization with zero synchronization (HSSULV::solve
-  // is const and keeps all workspace on the caller's stack).
+  // is const and keeps all workspace on the caller's stack). Whole passes
+  // repeat as kSolveThroughputMinSeconds says; returns the sorted pass
+  // times.
   auto run_clients = [&](const std::function<void(const la::Matrix&, la::index_t)>&
                              solve_panel) {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(clients));
-    for (la::index_t c = 0; c < clients; ++c) {
-      pool.emplace_back([&, c] {
-        for (la::index_t p = c; p < num_panels; p += clients) {
-          const la::Matrix panel =
-              la::Matrix::from_view(b.block(0, p * batch, cfg.n, batch));
-          solve_panel(panel, p);
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
+    std::vector<double> times;
+    double total = 0.0;
+    do {
+      WallTimer pass;
+      std::vector<std::thread> pool;
+      pool.reserve(static_cast<std::size_t>(clients));
+      for (la::index_t c = 0; c < clients; ++c) {
+        pool.emplace_back([&, c] {
+          for (la::index_t p = c; p < num_panels; p += clients) {
+            const la::Matrix panel =
+                la::Matrix::from_view(b.block(0, p * batch, cfg.n, batch));
+            solve_panel(panel, p);
+          }
+        });
+      }
+      for (auto& t : pool) t.join();
+      times.push_back(pass.seconds());
+      total += times.back();
+    } while (total < kSolveThroughputMinSeconds || times.size() < 5);
+    std::sort(times.begin(), times.end());
+    return times;
+  };
+  // Nearest-rank quantile of sorted values.
+  auto quantile = [](const std::vector<double>& v, double q) {
+    return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) + 0.5)];
+  };
+  auto rate = [&](double seconds) {
+    return seconds > 0.0 ? static_cast<double>(out.solved_columns) / seconds : 0.0;
   };
 
   std::vector<la::Matrix> blocked(static_cast<std::size_t>(num_panels));
-  timer.reset();
-  run_clients([&](const la::Matrix& panel, la::index_t p) {
-    blocked[static_cast<std::size_t>(p)] = f.solve(panel);
-  });
-  out.blocked_seconds = timer.seconds();
-  out.solves_per_second =
-      out.blocked_seconds > 0.0
-          ? static_cast<double>(out.solved_columns) / out.blocked_seconds
-          : 0.0;
+  const std::vector<double> blocked_times =
+      run_clients([&](const la::Matrix& panel, la::index_t p) {
+        blocked[static_cast<std::size_t>(p)] = f.solve(panel);
+      });
+  out.passes = static_cast<int>(blocked_times.size());
+  out.blocked_seconds = quantile(blocked_times, 0.5);
+  out.solves_per_second = rate(out.blocked_seconds);
+  out.solves_per_second_q1 = rate(quantile(blocked_times, 0.75));
+  out.solves_per_second_q3 = rate(quantile(blocked_times, 0.25));
 
   if (cfg.compare_oracle) {
     std::vector<la::Matrix> oracle(static_cast<std::size_t>(num_panels));
-    timer.reset();
-    run_clients([&](const la::Matrix& panel, la::index_t p) {
-      oracle[static_cast<std::size_t>(p)] = f.solve_columnwise(panel);
-    });
-    out.oracle_seconds = timer.seconds();
+    out.oracle_seconds = quantile(run_clients([&](const la::Matrix& panel, la::index_t p) {
+                                    oracle[static_cast<std::size_t>(p)] =
+                                        f.solve_columnwise(panel);
+                                  }),
+                                  0.5);
     out.speedup_vs_oracle =
         out.blocked_seconds > 0.0 ? out.oracle_seconds / out.blocked_seconds : 0.0;
     for (la::index_t p = 0; p < num_panels; ++p) {

@@ -120,15 +120,24 @@ struct SolveThroughputExperiment {
   bool compare_oracle = true;      ///< also time the column-loop oracle
 };
 
+/// Each timed pass of a solve-throughput run (every client through all its
+/// panels) repeats until this much wall time has accumulated, and at least
+/// 5 times; the outcome reports the median pass and its quartiles.
+inline constexpr double kSolveThroughputMinSeconds = 0.5;
+
 /// Observables of one solve-throughput run.
 struct SolveThroughputOutcome {
   double build_seconds = 0.0;      ///< HSS construction wall time
   double factor_seconds = 0.0;     ///< ULV factorization wall time
-  double blocked_seconds = 0.0;    ///< wall time of all solves, blocked path
-  la::index_t solved_columns = 0;  ///< RHS columns solved: `solves` rounded up
-                                   ///< to whole panels per client
-  double oracle_seconds = 0.0;     ///< wall time, column-loop oracle (0: skipped)
-  double solves_per_second = 0.0;  ///< solved columns / blocked wall time
+  double blocked_seconds = 0.0;    ///< median pass wall time, blocked path
+  la::index_t solved_columns = 0;  ///< RHS columns solved per pass: `solves`
+                                   ///< rounded up to whole panels per client
+  double oracle_seconds = 0.0;     ///< median pass wall time, column-loop oracle
+                                   ///< (0: skipped)
+  int passes = 0;                  ///< timed passes of the blocked path
+  double solves_per_second = 0.0;  ///< solved columns / median blocked pass
+  double solves_per_second_q1 = 0.0;  ///< the same at the slower quartile pass
+  double solves_per_second_q3 = 0.0;  ///< the same at the faster quartile pass
   double speedup_vs_oracle = 0.0;  ///< oracle_seconds / blocked_seconds (0: skipped)
   double max_col_diff = 0.0;       ///< max |blocked - oracle| (bit-identity: 0)
   double solve_error = 0.0;        ///< Eq. 19 relative error of one solved column

@@ -173,5 +173,25 @@ TEST(Drivers, SolveThroughputSplitsWholePanelsAcrossClients) {
   EXPECT_EQ(out.solved_columns, 256);
 }
 
+TEST(Drivers, SolveThroughputRepeatsPassesAndReportsQuartiles) {
+  SolveThroughputExperiment cfg;
+  cfg.n = 512;
+  cfg.leaf_size = 128;
+  cfg.max_rank = 30;
+  cfg.sample_cols = 128;
+  cfg.batch = 16;
+  cfg.clients = 2;
+  cfg.solves = 32;
+  const auto out = run_solve_throughput(cfg);
+  EXPECT_GE(out.passes, 5);
+  EXPECT_GT(out.solves_per_second_q1, 0.0);
+  EXPECT_LE(out.solves_per_second_q1, out.solves_per_second);
+  EXPECT_LE(out.solves_per_second, out.solves_per_second_q3);
+  EXPECT_DOUBLE_EQ(out.solves_per_second,
+                   static_cast<double>(out.solved_columns) / out.blocked_seconds);
+  EXPECT_EQ(out.max_col_diff, 0.0);
+  EXPECT_GT(out.speedup_vs_oracle, 0.0);
+}
+
 }  // namespace
 }  // namespace hatrix::driver

@@ -142,7 +142,7 @@ TEST(EdgeDistsim, EmptyGraphSimulates) {
 }
 
 TEST(EdgeKernels, KernelMatrixSinglePoint) {
-  kernels::Gaussian k;
+  kernels::Matern k;
   geom::Domain d = geom::grid2d(1);
   kernels::KernelMatrix km(k, d.points);
   EXPECT_DOUBLE_EQ(km.entry(0, 0), 1.0);

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "common/error.hpp"
 #include "format/accessor.hpp"
 #include "format/blr.hpp"
 #include "format/hss.hpp"
@@ -168,6 +169,23 @@ TEST(Hss, DenseAccessorAgreesWithKernelAccessor) {
   HSSMatrix h1 = build_hss(dacc, opts);
   HSSMatrix h2 = build_hss(kacc, opts);
   EXPECT_LT(la::rel_error(h1.dense().view(), h2.dense().view()), 1e-12);
+}
+
+TEST(Accessor, KernelGatherRejectsOutOfRangeIndices) {
+  Problem p(64, 16);
+  KernelAccessor acc(*p.km);
+  EXPECT_EQ(acc.gather({0, 63}, {5}).rows(), 2);
+  EXPECT_THROW((void)acc.gather({0, 64}, {5}), Error);
+  EXPECT_THROW((void)acc.gather({0}, {-1}), Error);
+}
+
+TEST(Accessor, DenseGatherRejectsOutOfRangeIndices) {
+  Problem p(64, 16);
+  Matrix a = p.km->dense();
+  DenseAccessor acc(a.view());
+  EXPECT_EQ(acc.gather({0, 63}, {5}).rows(), 2);
+  EXPECT_THROW((void)acc.gather({0, 64}, {5}), Error);
+  EXPECT_THROW((void)acc.gather({0}, {-1}), Error);
 }
 
 TEST(Hss, ToleranceDrivenRanksAdapt) {
