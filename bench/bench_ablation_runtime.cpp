@@ -35,7 +35,6 @@
 
 #include "common/bench_json.hpp"
 #include "common/cli.hpp"
-#include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "distsim/des.hpp"
@@ -363,72 +362,6 @@ int main(int argc, char** argv) {
     std::printf("chain peak reduction: %.1f%%\n",
                 100.0 * (1.0 - static_cast<double>(chain_peak[1]) /
                                    static_cast<double>(chain_peak[0])));
-  }
-
-  // -------------------------------------------------------------------
-  // Ablation F: mixed-precision low-rank storage. Same operator built at
-  // FP64 and at MixedFP32 (every basis/coupling block demoted to FP32 after
-  // construction); the tracking allocator reports the resident low-rank
-  // footprint, and the accuracy cost is the solve residual against the FP64
-  // compressed operator — directly, and after one refinement step.
-  std::printf("\nAblation F: mixed-precision low-rank storage (N=%lld)\n",
-              static_cast<long long>(mem_n));
-  {
-    geom::Domain domain = geom::grid2d(mem_n);
-    geom::ClusterTree tree(domain, m_leaf);
-    auto kernel = kernels::make_kernel("yukawa");
-    kernels::KernelMatrix km(*kernel, tree.points());
-    fmt::KernelAccessor acc(km);
-    Rng rng(271);
-    const std::vector<double> b = rng.normal_vector(mem_n);
-
-    fmt::HSSOptions o64{.leaf_size = m_leaf, .max_rank = m_rank, .tol = 0.0,
-                        .sample_cols = m_sample};
-    fmt::HSSOptions omx = o64;
-    omx.precision = fmt::PrecisionMode::MixedFP32;
-
-    auto h64 = fmt::build_hss(acc, o64, workers);
-    auto hmx = fmt::build_hss(acc, omx, workers);
-    auto f64 = ulv::HSSULV::factorize(h64);
-    auto fmx = ulv::HSSULV::factorize(hmx);
-
-    // Residual vs the FP64 compressed operator (the operator both builds
-    // approximate identically up to the one FP32 rounding pass).
-    auto resid = [&](const std::vector<double>& x) {
-      std::vector<double> ax;
-      h64.matvec(x, ax);
-      double rn = 0.0, bn = 0.0;
-      for (std::size_t i = 0; i < b.size(); ++i) {
-        rn += (b[i] - ax[i]) * (b[i] - ax[i]);
-        bn += b[i] * b[i];
-      }
-      return std::sqrt(rn / bn);
-    };
-    const double r64 = resid(f64.solve(b));
-    const double rmx = resid(fmx.solve(b));
-    const double rmx_ir = resid(fmx.solve_refined(b, 1));
-
-    TextTable tf({"precision", "lowrank (MB)", "residual", "residual+IR"});
-    const auto row = [&](const char* name, std::int64_t bytes, double r,
-                         double rir) {
-      tf.add_row({name, fmt_fixed(static_cast<double>(bytes) / 1048576.0, 1),
-                  fmt_sci(r), fmt_sci(rir)});
-      json.row()
-          .add("phase", std::string("mixed_precision"))
-          .add("n", mem_n)
-          .add("precision", std::string(name))
-          .add("lowrank_bytes", bytes)
-          .add("residual", r)
-          .add("residual_refined", rir);
-    };
-    row(fmt::precision_name(fmt::PrecisionMode::FP64), h64.lowrank_bytes(),
-        r64, r64);
-    row(fmt::precision_name(fmt::PrecisionMode::MixedFP32),
-        hmx.lowrank_bytes(), rmx, rmx_ir);
-    std::printf("%s\n", tf.to_string().c_str());
-    std::printf("low-rank resident reduction: %.1f%%\n",
-                100.0 * (1.0 - static_cast<double>(hmx.lowrank_bytes()) /
-                                   static_cast<double>(h64.lowrank_bytes())));
   }
 
   if (!json_path.empty()) {

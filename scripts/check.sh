@@ -7,6 +7,8 @@
 #                              src/ line count
 #   scripts/check.sh fast   -> same, but only suites labeled `fast` (< 60 s)
 #                              and no TSan pass
+# Both modes first grep src/ bench/ examples/ tests/ for the names of the
+# deleted FP32 storage layer.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,6 +18,15 @@ FULL=1
 if [ "${1:-}" = "fast" ]; then
   LABEL_ARGS="-L fast"
   FULL=0
+fi
+
+# The HSS operator has one storage precision (FP64). Fail if the deleted
+# FP32 low-rank storage layer (the MixedFP32 mode, the F64Block read guard,
+# Matrix's FP32 buffer) grows back under any of its names.
+if grep -rnE 'PrecisionMode|MixedFP32|F64Block|demote_storage|f64_copy|data32_|demote_lowrank' \
+    src bench examples tests; then
+  echo "check.sh: FP32 low-rank storage names found (listed above)" >&2
+  exit 1
 fi
 
 cmake -B build -S .

@@ -5,10 +5,6 @@
 
 namespace hatrix::fmt {
 
-const char* precision_name(PrecisionMode p) {
-  return p == PrecisionMode::MixedFP32 ? "mixed-fp32" : "fp64";
-}
-
 HSSMatrix::HSSMatrix(index_t n, int max_level) : n_(n), max_level_(max_level) {
   HATRIX_CHECK(n > 0 && max_level >= 0, "bad HSS dimensions");
   nodes_.resize(static_cast<std::size_t>(max_level) + 1);
@@ -55,11 +51,8 @@ void HSSMatrix::matvec(const std::vector<double>& x, std::vector<double>& y) con
       if (nd.basis.empty() && nd.rank == 0) continue;
       auto& out = xc[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)];
       out.assign(static_cast<std::size_t>(nd.rank), 0.0);
-      // F64Block promotes FP32-demoted bases/couplings on the fly (free for
-      // FP64 storage); the dense diagonals are always FP64.
-      la::F64Block ub(nd.basis);
       if (l == L) {
-        la::gemv(1.0, ub.view(), la::Trans::Yes,
+        la::gemv(1.0, nd.basis.view(), la::Trans::Yes,
                  x.data() + nd.begin, 0.0, out.data());
       } else {
         const auto& c0 = xc[static_cast<std::size_t>(l) + 1][static_cast<std::size_t>(2 * i)];
@@ -68,7 +61,7 @@ void HSSMatrix::matvec(const std::vector<double>& x, std::vector<double>& y) con
         stacked.reserve(c0.size() + c1.size());
         stacked.insert(stacked.end(), c0.begin(), c0.end());
         stacked.insert(stacked.end(), c1.begin(), c1.end());
-        la::gemv(1.0, ub.view(), la::Trans::Yes, stacked.data(), 0.0,
+        la::gemv(1.0, nd.basis.view(), la::Trans::Yes, stacked.data(), 0.0,
                  out.data());
       }
     }
@@ -90,9 +83,8 @@ void HSSMatrix::matvec(const std::vector<double>& x, std::vector<double>& y) con
       const auto& x1 = xc[static_cast<std::size_t>(l)][static_cast<std::size_t>(2 * t + 1)];
       auto& y0 = yc[static_cast<std::size_t>(l)][static_cast<std::size_t>(2 * t)];
       auto& y1 = yc[static_cast<std::size_t>(l)][static_cast<std::size_t>(2 * t + 1)];
-      la::F64Block sb(s);
-      la::gemv(1.0, sb.view(), la::Trans::No, x0.data(), 1.0, y1.data());
-      la::gemv(1.0, sb.view(), la::Trans::Yes, x1.data(), 1.0, y0.data());
+      la::gemv(1.0, s.view(), la::Trans::No, x0.data(), 1.0, y1.data());
+      la::gemv(1.0, s.view(), la::Trans::Yes, x1.data(), 1.0, y0.data());
     }
   }
 
@@ -104,8 +96,8 @@ void HSSMatrix::matvec(const std::vector<double>& x, std::vector<double>& y) con
       auto& self = yc[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)];
       if (self.empty() || nd.basis.empty()) continue;
       std::vector<double> stacked(static_cast<std::size_t>(nd.basis.rows()), 0.0);
-      la::gemv(1.0, la::F64Block(nd.basis).view(), la::Trans::No, self.data(),
-               0.0, stacked.data());
+      la::gemv(1.0, nd.basis.view(), la::Trans::No, self.data(), 0.0,
+               stacked.data());
       auto& c0 = yc[static_cast<std::size_t>(l) + 1][static_cast<std::size_t>(2 * i)];
       auto& c1 = yc[static_cast<std::size_t>(l) + 1][static_cast<std::size_t>(2 * i + 1)];
       for (std::size_t k = 0; k < c0.size(); ++k) c0[k] += stacked[k];
@@ -116,8 +108,8 @@ void HSSMatrix::matvec(const std::vector<double>& x, std::vector<double>& y) con
     const Node& nd = node(L, i);
     const auto& self = yc[static_cast<std::size_t>(L)][static_cast<std::size_t>(i)];
     if (!self.empty())
-      la::gemv(1.0, la::F64Block(nd.basis).view(), la::Trans::No, self.data(),
-               1.0, y.data() + nd.begin);
+      la::gemv(1.0, nd.basis.view(), la::Trans::No, self.data(), 1.0,
+               y.data() + nd.begin);
     la::gemv(1.0, nd.diag.view(), la::Trans::No, x.data() + nd.begin, 1.0,
              y.data() + nd.begin);
   }
@@ -125,18 +117,17 @@ void HSSMatrix::matvec(const std::vector<double>& x, std::vector<double>& y) con
 
 Matrix HSSMatrix::full_basis(int level, index_t i) const {
   const Node& nd = node(level, i);
-  if (level == max_level_) return nd.basis.f64_copy();
+  if (level == max_level_) return nd.basis;
   Matrix b0 = full_basis(level + 1, 2 * i);
   Matrix b1 = full_basis(level + 1, 2 * i + 1);
   HATRIX_CHECK(!nd.basis.empty(), "internal node is missing its transfer basis");
   Matrix out(nd.block_size(), nd.rank);
   // blockdiag(b0, b1) * W, with W split into its top and bottom row groups.
-  la::F64Block wb(nd.basis);
   la::gemm(1.0, b0.view(), la::Trans::No,
-           wb.view().block(0, 0, b0.cols(), nd.rank), la::Trans::No, 0.0,
+           nd.basis.block(0, 0, b0.cols(), nd.rank), la::Trans::No, 0.0,
            out.block(0, 0, b0.rows(), nd.rank));
   la::gemm(1.0, b1.view(), la::Trans::No,
-           wb.view().block(b0.cols(), 0, b1.cols(), nd.rank), la::Trans::No, 0.0,
+           nd.basis.block(b0.cols(), 0, b1.cols(), nd.rank), la::Trans::No, 0.0,
            out.block(b0.rows(), 0, b1.rows(), nd.rank));
   return out;
 }
@@ -157,7 +148,7 @@ Matrix HSSMatrix::dense() const {
       Matrix u0 = full_basis(l, 2 * t);
       Matrix u1 = full_basis(l, 2 * t + 1);
       // A(I1, I0) = Ũ1 S Ũ0ᵀ ; A(I0, I1) is its transpose.
-      Matrix us = la::matmul(u1.view(), la::F64Block(s).view());
+      Matrix us = la::matmul(u1.view(), s.view());
       Matrix lower = la::matmul(us.view(), u0.view(), la::Trans::No, la::Trans::Yes);
       la::copy(lower.view(), a.block(n1.begin, n0.begin, n1.block_size(), n0.block_size()));
       Matrix upper = la::transpose(lower.view());
@@ -185,26 +176,6 @@ std::int64_t HSSMatrix::memory_bytes() const {
       for (index_t t = 0; t < num_pairs(l); ++t) total += coupling(l, t).bytes();
   }
   return total;
-}
-
-std::int64_t HSSMatrix::lowrank_bytes() const {
-  std::int64_t total = 0;
-  for (int l = 0; l <= max_level_; ++l) {
-    for (index_t i = 0; i < num_nodes(l); ++i) total += node(l, i).basis.bytes();
-    if (l >= 1)
-      for (index_t t = 0; t < num_pairs(l); ++t) total += coupling(l, t).bytes();
-  }
-  return total;
-}
-
-void HSSMatrix::demote_lowrank() {
-  for (int l = 0; l <= max_level_; ++l) {
-    for (index_t i = 0; i < num_nodes(l); ++i) node(l, i).basis.demote_storage();
-    if (l >= 1)
-      for (index_t t = 0; t < num_pairs(l); ++t)
-        coupling(l, t).demote_storage();
-  }
-  mixed_ = true;
 }
 
 }  // namespace hatrix::fmt

@@ -25,18 +25,6 @@ namespace hatrix::fmt {
 using la::index_t;
 using la::Matrix;
 
-/// Storage precision of the off-diagonal low-rank data (bases U/W, skeleton
-/// couplings S). Dense diagonal blocks always stay FP64 — they carry the
-/// conditioning. MixedFP32 rounds each low-rank entry through FP32 once at
-/// the end of construction (compression error dominates the ~1e-7 rounding
-/// whenever tol/guard_tol >= 1e-6), halving the resident low-rank footprint;
-/// solves promote blocks on the fly and recover FP64 accuracy with iterative
-/// refinement (HSSULV::solve_refined).
-enum class PrecisionMode { FP64, MixedFP32 };
-
-/// Human-readable name ("fp64" / "mixed-fp32") for reports and cache keys.
-[[nodiscard]] const char* precision_name(PrecisionMode p);
-
 /// Construction parameters of the HSS builder.
 struct HSSOptions {
   index_t leaf_size = 256;  ///< maximum leaf block size (paper Table 2)
@@ -74,11 +62,6 @@ struct HSSOptions {
   /// without passing the guard throws BasisUnderResolvedError instead of
   /// silently producing an under-resolved basis.
   index_t max_sample_cols = 0;
-  /// Storage precision of the built matrix's low-rank data. Construction
-  /// itself always runs in FP64 (so every executor produces bit-identical
-  /// factors); with MixedFP32 the finished matrix is demoted once at the end
-  /// of the build.
-  PrecisionMode precision = PrecisionMode::FP64;
 };
 
 /// Symmetric HSS matrix: complete binary tree of intervals with nested
@@ -140,23 +123,9 @@ class HSSMatrix {
   /// Total compressed storage in bytes (diagonals + bases + couplings).
   [[nodiscard]] std::int64_t memory_bytes() const;
 
-  /// Bytes held by the low-rank data alone (bases + couplings, excluding
-  /// the dense diagonal blocks) — the part MixedFP32 halves.
-  [[nodiscard]] std::int64_t lowrank_bytes() const;
-
-  /// Demote every basis and coupling to FP32 backing storage (diagonals
-  /// stay FP64). Idempotent; called by the builders when
-  /// HSSOptions::precision == MixedFP32. Readers promote through
-  /// la::F64Block, so matvec/dense/ULV keep working on a demoted matrix.
-  void demote_lowrank();
-
-  /// True when demote_lowrank() has run (any low-rank block is FP32).
-  [[nodiscard]] bool mixed() const { return mixed_; }
-
  private:
   index_t n_ = 0;
   int max_level_ = 0;
-  bool mixed_ = false;
   std::vector<std::vector<Node>> nodes_;         // [level][i]
   std::vector<std::vector<Matrix>> couplings_;   // [level][pair], level >= 1
 };

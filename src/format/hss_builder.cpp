@@ -121,11 +121,7 @@ HSSMatrix build_hss(const BlockAccessor& acc, const HSSOptions& opts, int worker
   HSSBuildDag dag = emit_hss_build_dag(acc, opts, graph, release);
   rt::ThreadPoolExecutor(workers).run(graph);
   if (report != nullptr) *report = build_report(dag);
-  HSSMatrix h = extract_built_hss(dag);
-  // Construction is pure FP64 regardless of precision mode (executor
-  // bit-identity); the one-shot demotion happens on the settled matrix.
-  if (opts.precision == PrecisionMode::MixedFP32) h.demote_lowrank();
-  return h;
+  return extract_built_hss(dag);
 }
 
 }  // namespace hatrix::fmt

@@ -46,7 +46,6 @@ std::size_t SolverKeyHash::operator()(const SolverKey& k) const {
   h = mix(h, static_cast<std::uint64_t>(k.sample_cols));
   h = mix(h, static_cast<std::uint64_t>(k.max_sample_cols));
   h = mix(h, k.seed);
-  h = mix(h, std::hash<std::string>{}(k.precision));
   return static_cast<std::size_t>(h);
 }
 
@@ -62,8 +61,7 @@ SolverKey make_solver_key(const std::string& kernel_id,
                    .guard_tol = opts.guard_tol,
                    .sample_cols = opts.sample_cols,
                    .max_sample_cols = opts.max_sample_cols,
-                   .seed = opts.seed,
-                   .precision = fmt::precision_name(opts.precision)};
+                   .seed = opts.seed};
 }
 
 SolverCache::SolverCache(std::size_t capacity) : capacity_(capacity) {

@@ -12,7 +12,7 @@
 ///
 ///   kernel id (name + parameters + nugget) x geometry fingerprint x
 ///   HSSOptions (leaf size, rank cap, tolerances, sample size and cap,
-///   sampling seed, storage precision).
+///   sampling seed).
 ///
 /// Construction is deterministic given that key (per-node RNG streams), so
 /// two requests with equal keys would produce identical factorizations —
@@ -61,11 +61,6 @@ struct SolverKey {
   la::index_t sample_cols = 0;
   la::index_t max_sample_cols = 0;
   std::uint64_t seed = 0;
-  /// Storage precision of the built matrix's low-rank data
-  /// (fmt::precision_name): "fp64" or "mixed-fp32". Factorizations of the
-  /// same operator at different storage precisions differ bit-for-bit, so
-  /// they must occupy distinct cache entries.
-  std::string precision = "fp64";
 
   bool operator==(const SolverKey&) const = default;
 };

@@ -5,9 +5,8 @@
 /// One implementation serves the level-3 kernels: a cache-blocked, packing
 /// gemm with a register-tiled micro-kernel, with trsm/syrk/potrf recast as
 /// small diagonal-block solves plus gemm panel updates, so one tuned kernel
-/// speeds every level-3 operation. The mixed-precision mode stores in FP32
-/// but computes here in FP64. The naive triple loops are kept only as the
-/// conformance oracle, `la::ref::`.
+/// speeds every level-3 operation. The naive triple loops are kept only as
+/// the conformance oracle, `la::ref::`.
 ///
 /// Determinism contract (the solve layer depends on it): column j of a gemm
 /// or Side::Left trsm result is bit-identical whether the call covers one

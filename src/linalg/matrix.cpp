@@ -53,26 +53,6 @@ Matrix Matrix::from_view(ConstMatrixView v) {
   return a;
 }
 
-void Matrix::demote_storage() {
-  if (!data32_.empty() || data_.empty()) return;
-  data32_.resize(data_.size());
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    data32_[i] = static_cast<float>(data_[i]);
-  data_.clear();
-  data_.shrink_to_fit();
-}
-
-Matrix Matrix::f64_copy() const {
-  Matrix out(rows_, cols_);
-  if (is_f32()) {
-    for (std::size_t i = 0; i < data32_.size(); ++i)
-      out.data_[i] = static_cast<double>(data32_[i]);
-  } else {
-    out.data_ = data_;
-  }
-  return out;
-}
-
 void copy(ConstMatrixView src, MatrixView dst) {
   HATRIX_CHECK(src.rows == dst.rows && src.cols == dst.cols, "copy shape mismatch");
   for (index_t j = 0; j < src.cols; ++j)

@@ -6,12 +6,6 @@
 /// kernel operates on these types. `Matrix` owns its storage; the view
 /// structs reference sub-blocks with a leading dimension, which is what
 /// blocked factorization algorithms need.
-///
-/// Mixed-precision storage: a `Matrix` (FP64 interface) can *demote* its
-/// buffer to FP32 (`demote_storage()`), halving its resident footprint.
-/// Demoted matrices cannot hand out FP64 views directly; readers promote
-/// through `F64Block`, which is free for FP64-stored matrices and
-/// materializes a short-lived FP64 copy for demoted ones.
 
 #include <atomic>
 #include <cstdint>
@@ -114,11 +108,7 @@ struct MatrixView {
   }
 };
 
-/// Owning dense column-major matrix with an FP64 interface. Normally backed
-/// by an FP64 buffer; `demote_storage()` swaps the backing store to FP32
-/// (rounding every entry once), halving the resident footprint — the
-/// mixed-precision resting state for low-rank factors whose compression
-/// error already exceeds FP32 rounding.
+/// Owning dense column-major FP64 matrix.
 class Matrix {
  public:
   Matrix() = default;
@@ -139,13 +129,11 @@ class Matrix {
   Matrix(Matrix&& other) noexcept
       : rows_(std::exchange(other.rows_, 0)),
         cols_(std::exchange(other.cols_, 0)),
-        data_(std::move(other.data_)),
-        data32_(std::move(other.data32_)) {}
+        data_(std::move(other.data_)) {}
   Matrix& operator=(Matrix&& other) noexcept {
     rows_ = std::exchange(other.rows_, 0);
     cols_ = std::exchange(other.cols_, 0);
     data_ = std::move(other.data_);
-    data32_ = std::move(other.data32_);
     return *this;
   }
   ~Matrix() = default;
@@ -161,11 +149,9 @@ class Matrix {
   [[nodiscard]] index_t rows() const { return rows_; }
   [[nodiscard]] index_t cols() const { return cols_; }
   [[nodiscard]] bool empty() const { return rows_ == 0 || cols_ == 0; }
-  /// Storage footprint in bytes of the *actual* backing store (FP32 when
-  /// demoted), used by the communication and memory models.
+  /// Storage footprint in bytes, used by the communication and memory models.
   [[nodiscard]] std::int64_t bytes() const {
-    return static_cast<std::int64_t>(data_.size() * sizeof(double) +
-                                     data32_.size() * sizeof(float));
+    return static_cast<std::int64_t>(data_.size() * sizeof(double));
   }
 
   double& operator()(index_t i, index_t j) { return data_[static_cast<std::size_t>(i + j * rows_)]; }
@@ -176,12 +162,8 @@ class Matrix {
   double* data() { return data_.data(); }
   [[nodiscard]] const double* data() const { return data_.data(); }
 
-  [[nodiscard]] MatrixView view() {
-    HATRIX_CHECK(data32_.empty(), "view() on FP32-demoted matrix; promote first");
-    return {data_.data(), rows_, cols_, rows_};
-  }
+  [[nodiscard]] MatrixView view() { return {data_.data(), rows_, cols_, rows_}; }
   [[nodiscard]] ConstMatrixView view() const {
-    HATRIX_CHECK(data32_.empty(), "view() on FP32-demoted matrix; promote first");
     return {data_.data(), rows_, cols_, rows_};
   }
   operator MatrixView() { return view(); }
@@ -194,45 +176,10 @@ class Matrix {
     return view().block(i0, j0, m, n);
   }
 
-  /// True when the backing store is FP32 (demoted).
-  [[nodiscard]] bool is_f32() const { return !data32_.empty(); }
-
-  /// Round every entry through FP32 and keep the FP32 buffer as the backing
-  /// store (the FP64 buffer is freed). No-op on empty or already-demoted
-  /// matrices. Deterministic: round-to-nearest per entry, no arithmetic.
-  void demote_storage();
-  /// FP64 copy of the contents regardless of storage precision.
-  [[nodiscard]] Matrix f64_copy() const;
-
  private:
   index_t rows_ = 0;
   index_t cols_ = 0;
   std::vector<double, detail::TrackingAllocator<double>> data_;
-  /// FP32 backing store when demoted; empty otherwise. At most one of
-  /// data_/data32_ is non-empty for a non-empty matrix.
-  std::vector<float, detail::TrackingAllocator<float>> data32_;
-};
-
-/// Read guard yielding an FP64 view of a possibly-demoted Matrix: a direct
-/// (zero-copy) view when the matrix is FP64-stored, a promoted temporary
-/// owned by the guard when it is FP32-stored. Usable inline —
-/// `f(F64Block(m).view())` — because the temporary lives to the end of the
-/// full expression.
-class F64Block {
- public:
-  explicit F64Block(const Matrix& m) : src_(&m) {
-    if (m.is_f32()) tmp_ = m.f64_copy();
-  }
-  F64Block(const F64Block&) = delete;
-  F64Block& operator=(const F64Block&) = delete;
-
-  [[nodiscard]] ConstMatrixView view() const {
-    return src_->is_f32() ? tmp_.view() : src_->view();
-  }
-
- private:
-  const Matrix* src_;
-  Matrix tmp_;
 };
 
 /// Deep copy helper (dst and src must have equal shapes).

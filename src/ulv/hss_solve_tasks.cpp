@@ -60,8 +60,7 @@ void solve_forward(HSSSolveState& st, int level, index_t i) {
   const auto ii = static_cast<std::size_t>(i);
   st.fwd[li][ii] =
       forward_step_panel(st.factor->factor(level, i),
-                         la::F64Block(st.a->node(level, i).basis).view(),
-                         st.rhs[li][ii].view());
+                         st.a->node(level, i).basis.view(), st.rhs[li][ii].view());
 }
 
 void solve_gather(HSSSolveState& st, int level, index_t t) {
@@ -91,8 +90,8 @@ void solve_backward(HSSSolveState& st, int level, index_t i) {
   const la::ConstMatrixView xs = i % 2 == 0
                                      ? parent.block(0, 0, f.k, nrhs)
                                      : parent.block(parent.rows() - f.k, 0, f.k, nrhs);
-  backward_step_panel(f, la::F64Block(st.a->node(level, i).basis).view(),
-                      st.fwd[li][ii], xs, solution_panel(st, level, i));
+  backward_step_panel(f, st.a->node(level, i).basis.view(), st.fwd[li][ii], xs,
+                      solution_panel(st, level, i));
 }
 
 void emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,

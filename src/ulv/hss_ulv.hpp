@@ -65,11 +65,10 @@ class HSSULV {
   /// Solve with iterative refinement: after the direct ULV solve, perform
   /// `iterations` residual-correction steps r = b - A x (A applied through
   /// the compressed matvec), x += A^{-1} r. Cheap (O(N·rank) per step) and
-  /// recovers digits lost to compression roundoff — and, in MixedFP32
-  /// storage mode, the digits lost to FP32 rounding of the low-rank factors.
-  /// When `residual_history` is non-null it receives iterations + 1 relative
-  /// residual norms ||b - A x|| / ||b||: one before each correction step and
-  /// one after the last (costs one extra compressed matvec).
+  /// recovers digits lost to compression roundoff. When `residual_history`
+  /// is non-null it receives iterations + 1 relative residual norms
+  /// ||b - A x|| / ||b||: one before each correction step and one after the
+  /// last (costs one extra compressed matvec).
   [[nodiscard]] std::vector<double> solve_refined(
       const std::vector<double>& b, int iterations = 1,
       std::vector<double>* residual_history = nullptr) const;

@@ -165,7 +165,7 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
             slot = diag_product(
                 stp->diags[static_cast<std::size_t>(li)][static_cast<std::size_t>(ii)]
                     .view(),
-                la::F64Block(nd2.basis).view());
+                nd2.basis.view());
           })
                     : std::function<void()>(),
           {{dag.diag_data[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)],
@@ -215,7 +215,7 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
             stp->diags[static_cast<std::size_t>(li) - 1][static_cast<std::size_t>(tt)] =
                 merge_diag(lvl[static_cast<std::size_t>(2 * tt)],
                            lvl[static_cast<std::size_t>(2 * tt + 1)],
-                           la::F64Block(stp->a->coupling(li, tt)).view());
+                           stp->a->coupling(li, tt).view());
           })
                     : std::function<void()>(),
           {{dag.schur_data[static_cast<std::size_t>(l)][static_cast<std::size_t>(2 * t)],

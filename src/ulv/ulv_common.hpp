@@ -78,8 +78,7 @@ PartialFactorResult partial_factor_rotated(la::ConstMatrixView rotated, index_t 
 /// The Merge step (line 4 of Alg. 2): assemble a parent's dense diagonal
 ///   D_p = [ SS_0  Sᵀ ; S  SS_1 ]
 /// from its children's skeleton Schur complements and the sibling coupling
-/// S between (2t+1, 2t). The coupling arrives as an FP64 view (callers
-/// promote demoted storage through la::F64Block).
+/// S between (2t+1, 2t).
 Matrix merge_diag(const Matrix& ss0, const Matrix& ss1, la::ConstMatrixView s_lower);
 
 /// Forward-solve bookkeeping for a RHS panel at one node: each column is one

@@ -94,21 +94,16 @@ struct ChainResult {
 /// Build + factor + solve, running all three DAGs through `runner`.
 /// `release` wires the emitters' early-release hooks (dag_dataflow last-use
 /// schedule): Free drops retired blocks, Poison NaN-fills them so any task
-/// reading past its proven last use corrupts the chain's bits. `mixed`
-/// demotes the built matrix's low-rank blocks to FP32 storage before
-/// factorization — the same end-of-build demotion build_hss applies under
-/// HSSOptions::precision == MixedFP32.
+/// reading past its proven last use corrupts the chain's bits.
 template <typename Runner>
 ChainResult run_chain(const ChainProblem& p, Runner&& runner,
-                      rt::ReleaseMode release = rt::ReleaseMode::None,
-                      bool mixed = false) {
+                      rt::ReleaseMode release = rt::ReleaseMode::None) {
   fmt::KernelAccessor acc(*p.km);
 
   rt::TaskGraph build_graph;
   auto build_dag = fmt::emit_hss_build_dag(acc, p.opts(), build_graph, release);
   runner(build_graph);
   ChainResult out{fmt::extract_built_hss(build_dag), {}, {}};
-  if (mixed) out.h.demote_lowrank();
 
   rt::TaskGraph ulv_graph;
   auto ulv_dag =
@@ -138,17 +133,6 @@ const ChainResult& serial_chain() {
   return ref;
 }
 
-/// Serial reference for the mixed-precision (FP32-demoted low-rank storage)
-/// chain. Distinct from serial_chain(): demotion rounds the low-rank blocks
-/// once, so the factorization and solution bits legitimately differ from the
-/// pure-FP64 chain — but they must still be schedule-independent.
-const ChainResult& serial_mixed_chain() {
-  static const ChainResult ref =
-      run_chain(chain_problem(), [](const rt::TaskGraph& g) { run_serial(g); },
-                rt::ReleaseMode::None, /*mixed=*/true);
-  return ref;
-}
-
 // ---------------------------------------------------------------------------
 
 class ExecutorConformance
@@ -173,14 +157,10 @@ void expect_chain_bit_identical(const ChainResult& got, const ChainResult& ref,
       ASSERT_EQ(got.root(i, j), ref.root(i, j))
           << what << ": root factor differs";
 
-  // Spot-check a built leaf basis, bitwise. F64Block handles both storage
-  // precisions (FP32→FP64 promotion is exact, so bit-comparing promoted
-  // copies is equivalent to comparing the stored bits).
+  // Spot-check a built leaf basis, bitwise.
   const int L = ref.h.max_level();
-  ASSERT_EQ(got.h.mixed(), ref.h.mixed()) << what;
-  la::F64Block bref(ref.h.node(L, 0).basis);
-  la::F64Block bgot(got.h.node(L, 0).basis);
-  const la::ConstMatrixView vref = bref.view(), vgot = bgot.view();
+  const la::ConstMatrixView vref = ref.h.node(L, 0).basis.view();
+  const la::ConstMatrixView vgot = got.h.node(L, 0).basis.view();
   ASSERT_EQ(vgot.rows, vref.rows) << what;
   ASSERT_EQ(vgot.cols, vref.cols) << what;
   for (index_t i = 0; i < vref.rows; ++i)
@@ -212,30 +192,6 @@ TEST_P(ExecutorConformance, ChainBitIdenticalWithEarlyRelease) {
       rt::ReleaseMode::Free);
   expect_chain_bit_identical(got, ref,
                              std::string(exec_name(exec())) + "+release");
-}
-
-TEST_P(ExecutorConformance, MixedPrecisionChainBitIdenticalToSerial) {
-  // Mixed storage mode: the built matrix's low-rank blocks are demoted to
-  // FP32 after construction (one deterministic rounding pass), then the ULV
-  // factorization and solve read them back through F64Block promotion.
-  // Demotion happens after the build DAG completes, so the bit-identity
-  // contract must hold in this mode exactly as in FP64 — against a mixed
-  // serial reference.
-  const auto& p = chain_problem();
-  const auto& ref = serial_mixed_chain();
-  ASSERT_TRUE(ref.h.mixed());
-  ASSERT_LT(ref.h.lowrank_bytes(),
-            serial_chain().h.lowrank_bytes());  // really demoted
-  auto got = run_chain(
-      p,
-      [&](const rt::TaskGraph& g) {
-        auto stats = run_any(exec(), workers(), g);
-        ASSERT_EQ(rt::validate_trace(g, stats), "")
-            << exec_name(exec()) << " workers=" << workers();
-      },
-      rt::ReleaseMode::None, /*mixed=*/true);
-  expect_chain_bit_identical(got, ref,
-                             std::string(exec_name(exec())) + "+mixed");
 }
 
 TEST_P(ExecutorConformance, PoisonOnReleaseKeepsChainBitIdentical) {

@@ -122,9 +122,9 @@ TEST(LinalgConformance, GemmDoubleAllTransCombos) {
         for (auto [alpha, beta] : {std::pair{1.0, 0.0},
                                    std::pair{-0.5, 2.0},
                                    std::pair{0.0, 1.0}}) {
-          Matrix c_ref = c0.f64_copy();
+          Matrix c_ref = c0;
           la::ref::gemm(alpha, a.view(), ta, b.view(), tb, beta, c_ref.view());
-          Matrix c_got = c0.f64_copy();
+          Matrix c_got = c0;
           la::gemm(alpha, a.view(), ta, b.view(), tb, beta, c_got.view());
           const double tol = tolerance(s.k, max_abs(c_ref.view()), kEps64);
           EXPECT_LE(max_diff(c_got.view(), c_ref.view()), tol)
@@ -145,7 +145,7 @@ TEST(LinalgConformance, GemmNonContiguousViews) {
   Matrix abuf = random_matrix(m + pad, k + pad, rng);
   Matrix bbuf = random_matrix(k + pad, n + pad, rng);
   Matrix cbuf = random_matrix(m + pad, n + pad, rng);
-  Matrix cref = cbuf.f64_copy();
+  Matrix cref = cbuf;
   const ConstMatrixView a = abuf.view().block(3, 5, m, k);
   const ConstMatrixView b = bbuf.view().block(7, 2, k, n);
   la::ref::gemm(1.5, a, Trans::No, b, Trans::No, -0.5,
@@ -253,7 +253,7 @@ TEST(LinalgConformance, SyrkBothTransBothPrecisions) {
         const Matrix a = tr == Trans::No ? random_matrix(n, k, rng)
                                          : random_matrix(k, n, rng);
         const Matrix c0 = random_matrix(n, n, rng);
-        Matrix c_ref = c0.f64_copy(), c_got = c0.f64_copy();
+        Matrix c_ref = c0, c_got = c0;
         la::ref::syrk(1.0, a.view(), tr, 0.5, c_ref.view());
         la::syrk(1.0, a.view(), tr, 0.5, c_got.view());
         EXPECT_LE(max_diff(c_got.view(), c_ref.view()),
@@ -280,7 +280,7 @@ TEST(LinalgConformance, TrsmAllSixteenCombos) {
           const Matrix b0 = random_matrix(br, bc, rng);
           for (Trans tr : {Trans::No, Trans::Yes}) {
             for (Diag dg : {Diag::NonUnit, Diag::Unit}) {
-              Matrix b_ref = b0.f64_copy(), b_got = b0.f64_copy();
+              Matrix b_ref = b0, b_got = b0;
               la::ref::trsm(side, uplo, tr, dg, 1.25, t.view(), b_ref.view());
               la::trsm(side, uplo, tr, dg, 1.25, t.view(), b_got.view());
               EXPECT_LE(max_diff(b_got.view(), b_ref.view()),
@@ -311,7 +311,7 @@ TEST(LinalgConformance, PotrfAgainstUnblockedReference) {
     la::ref::gemm(1.0, b.view(), Trans::No, b.view(), Trans::Yes, 0.0, a.view());
     for (index_t i = 0; i < n; ++i) a(i, i) += static_cast<double>(n);
 
-    Matrix l_ref = a.f64_copy(), l_got = a.f64_copy();
+    Matrix l_ref = a, l_got = a;
     la::ref::potrf(l_ref.view());
     la::potrf(l_got.view());
     EXPECT_LE(max_diff(l_got.view(), l_ref.view()),
