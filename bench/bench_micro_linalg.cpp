@@ -2,12 +2,13 @@
 // the cost-model calibration data (the sustained flop rate the simulator's
 // CostModel::calibrated() would pick on this host), plus the kernel-matrix
 // fill rate (Mentries/s) of the vectorized Green's-function loops that
-// every HSS build reads its entries through. Self-timed — each case
-// repeats until it has accumulated enough wall time for a stable average —
-// and the results land in BENCH_linalg.json next to the solve-throughput
-// numbers so kernel regressions show up in version control.
+// every HSS build reads its entries through. Self-timed — each case runs
+// five timed batches and reports the median batch — and the results land
+// in BENCH_linalg.json next to the solve-throughput numbers so kernel
+// regressions show up in version control.
 //
 //   ./bench_micro_linalg [--min-time 0.2] [--json BENCH_linalg.json] [--csv]
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -26,6 +27,7 @@
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
 #include "lowrank/compress.hpp"
+#include "ulv/ulv_common.hpp"
 
 namespace {
 
@@ -42,24 +44,34 @@ struct Case {
   double mentries_per_s = 0.0;  ///< kernel-matrix entries per second / 1e6
 };
 
-/// Run `body` repeatedly until `min_time` seconds have accumulated (at least
-/// 3 iterations), returning the average seconds per iteration.
+/// Run `body` in 5 timed batches of about `min_time` / 5 seconds each (at
+/// least one iteration per batch) and report the median batch's seconds
+/// per iteration. Unlike a mean over all iterations, the median ignores a
+/// batch slowed by a preempted core or a noisy neighbour.
 Case timed(const std::string& name, la::index_t n, double flops_per_iter,
            double min_time, const std::function<void()>& body,
            const std::string& shape = "") {
+  constexpr int kBatches = 5;
   body();  // warm-up (first touch, page faults)
-  WallTimer timer;
+  std::vector<double> per_iter;
   std::int64_t iters = 0;
-  do {
-    body();
-    ++iters;
-  } while ((timer.seconds() < min_time || iters < 3) && iters < 1000000);
+  for (int b = 0; b < kBatches; ++b) {
+    WallTimer timer;
+    std::int64_t batch_iters = 0;
+    do {
+      body();
+      ++batch_iters;
+    } while (timer.seconds() < min_time / kBatches && batch_iters < 200000);
+    per_iter.push_back(timer.seconds() / static_cast<double>(batch_iters));
+    iters += batch_iters;
+  }
+  std::sort(per_iter.begin(), per_iter.end());
   Case c;
   c.name = name;
   c.n = n;
   c.shape = shape;
   c.iterations = iters;
-  c.seconds_per_iter = timer.seconds() / static_cast<double>(iters);
+  c.seconds_per_iter = per_iter[kBatches / 2];
   if (flops_per_iter > 0.0) c.gflops = flops_per_iter / c.seconds_per_iter / 1e9;
   return c;
 }
@@ -170,6 +182,35 @@ int main(int argc, char** argv) {
     cases.push_back(timed("orth_complement", m, flops, min_time,
                           [&] { Matrix c = la::orth_complement(u.view()); },
                           std::to_string(m) + "x" + std::to_string(k)));
+  }
+  // The rest of a ULV node at the same shapes: the Eq. 11 right-side trsm
+  // of the k x (m - k) SR panel, k (m - k)² flops, and the whole Eq. 10-12
+  // partial factorization (potrf of RR, that trsm, the syrk into SS),
+  // (m - k)³/3 + k (m - k)² + k² (m - k) flops.
+  for (la::index_t m : {256, 160}) {
+    const la::index_t k = 80, r = m - k;
+    const std::string shape = std::to_string(m) + "x" + std::to_string(k);
+    Rng rng(13);
+    Matrix l = Matrix::random_spd(rng, r);
+    la::potrf(l.view());
+    const Matrix sr = Matrix::random_normal(rng, k, r);
+    cases.push_back(timed("trsm_right", m, static_cast<double>(k) * r * r, min_time, [&] {
+      Matrix x = Matrix::from_view(sr.view());
+      la::trsm(la::Side::Right, la::UpLo::Lower, la::Trans::Yes, la::Diag::NonUnit, 1.0,
+               l.view(), x.view());
+    }, shape));
+    const Matrix d = Matrix::random_spd(rng, m);
+    const Matrix u = la::qr(Matrix::random_normal(rng, m, k).view()).q;
+    ulv::DiagProductResult rot = ulv::diag_product(d.view(), u.view());
+    const double flops = r * r * r / 3.0 + static_cast<double>(k) * r * r +
+                         static_cast<double>(k) * k * r;
+    // Each call factors fresh copies of RR, SR and SS; the complement, which
+    // the call only moves into the factor, is passed through and taken back.
+    cases.push_back(timed("partial_factor", m, flops, min_time, [&] {
+      auto res = ulv::partial_factor_rotated({std::move(rot.q_comp), rot.rr, rot.sr, rot.ss},
+                                             1, 0);
+      rot.q_comp = std::move(res.factor.q_comp);
+    }, shape));
   }
 
   for (la::index_t n : {32, 64, 128}) {

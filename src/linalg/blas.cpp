@@ -4,14 +4,22 @@
 /// Three parts:
 ///
 ///   - the naive reference triple loops, the conformance oracle exposed as
-///     `la::ref::` (trsm_naive also solves the blocked trsm's diagonal
-///     blocks, potrf_unblocked the blocked potrf's);
+///     `la::ref::` (trsm_naive also solves the Side::Left diagonal blocks
+///     of the blocked trsm, one column of B at a time);
 ///   - the blocked kernels: a cache-blocked, packing GEBP gemm with a
-///     register-tiled micro-kernel, and trsm/syrk recast as unblocked
-///     diagonal-block solves plus blocked-gemm panel updates. The composite
-///     kernels in cholesky.cpp and qr.cpp call them through blas_detail.hpp;
+///     register-tiled micro-kernel; trsm as 64-wide diagonal-block solves,
+///     each followed by one gemm update of the unsolved part; syrk as one
+///     gemm per 64-wide block column of the lower triangle; and
+///     potrf_panel, the column panel of the blocked potrf in cholesky.cpp.
+///     The composite kernels in cholesky.cpp and qr.cpp call them through
+///     blas_detail.hpp;
 ///   - the public entry points, which check shapes and count flops before
 ///     calling the blocked kernels.
+///
+/// Column loops: the Side::Right trsm blocks and the potrf panel run down
+/// contiguous column segments (sub_columns, four axpys per pass), never
+/// across a row of a column-major matrix. A row walk reads one element per
+/// column stride, so it neither stays in cache nor vectorizes.
 ///
 /// Determinism invariant (the solve layer's panel/column bit-identity
 /// depends on it): in every kernel here, the arithmetic performed for
@@ -197,6 +205,25 @@ void trsm_naive(Side side, UpLo uplo, Trans trans, Diag diag,
   }
 }
 
+/// Unblocked lower Cholesky (dpotf2-style), the reference factorization.
+/// Does NOT touch the strict upper triangle — ref::potrf zeroes it.
+void potrf_unblocked(MatrixView a) {
+  const index_t n = a.rows;
+  for (index_t j = 0; j < n; ++j) {
+    double d = a(j, j);
+    for (index_t k = 0; k < j; ++k) d -= a(j, k) * a(j, k);
+    HATRIX_CHECK(d > 0.0, "matrix not positive definite (pivot " +
+                              std::to_string(j) + ")");
+    d = std::sqrt(d);
+    a(j, j) = d;
+    for (index_t i = j + 1; i < n; ++i) {
+      double s = a(i, j);
+      for (index_t k = 0; k < j; ++k) s -= a(i, k) * a(j, k);
+      a(i, j) = s / d;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Blocked, packing kernels (the GEBP decomposition).
 // ---------------------------------------------------------------------------
@@ -314,48 +341,74 @@ inline void micro_kernel(index_t kc, const double* ap, const double* bp,
   }
 }
 
-/// Block size for the triangular-solve and syrk diagonal blocks: big enough
-/// that the gemm panel updates dominate, small enough that the unblocked
-/// diagonal work stays cache-resident.
-inline constexpr index_t kTrsmBlock = 64;
+/// dst[i] -= sum_q x_q[i] * y_q for i in [0, len), over the `cnt` columns
+/// x_q = x + q * ldx and scalars y_q = y[q * incy]. Each dst[i] takes its
+/// subtractions in ascending q, the order of the reference kernels' inner
+/// loops. Four columns per pass: dst is loaded and stored once per four
+/// axpys, and every pass runs down contiguous column segments, so it
+/// vectorizes. `dst` must not overlap any x_q.
+void sub_columns(double* dst, index_t len, const double* x, index_t ldx,
+                 const double* y, index_t incy, index_t cnt) {
+  index_t q = 0;
+  for (; q + 4 <= cnt; q += 4) {
+    const double* x0 = x + q * ldx;
+    const double* x1 = x0 + ldx;
+    const double* x2 = x1 + ldx;
+    const double* x3 = x2 + ldx;
+    const double y0 = y[q * incy], y1 = y[(q + 1) * incy];
+    const double y2 = y[(q + 2) * incy], y3 = y[(q + 3) * incy];
+    for (index_t i = 0; i < len; ++i)
+      dst[i] = (((dst[i] - x0[i] * y0) - x1[i] * y1) - x2[i] * y2) - x3[i] * y3;
+  }
+  for (; q < cnt; ++q) {
+    const double* x0 = x + q * ldx;
+    const double y0 = y[q * incy];
+    for (index_t i = 0; i < len; ++i) dst[i] -= x0[i] * y0;
+  }
+}
 
-/// Lower-triangle-only unblocked syrk used for the diagonal blocks of the
-/// blocked syrk (beta already applied by the caller).
-void syrk_lower_unblocked(double alpha, ConstMatrixView a,
-                          Trans trans, MatrixView c) {
-  const index_t n = c.rows, k = op_cols(a, trans);
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t i = j; i < n; ++i) {
-      double s = 0.0;
-      if (trans == Trans::No) {
-        for (index_t l = 0; l < k; ++l) s += a(i, l) * a(j, l);
-      } else {
-        for (index_t l = 0; l < k; ++l) s += a(l, i) * a(l, j);
-      }
-      c(i, j) += alpha * s;
+/// Solve X op(T) = B for one diagonal block, a column of B at a time: column
+/// j takes the axpys of its already-solved columns (sub_columns), then its
+/// pivot. Same per-entry operation order as trsm_naive's Side::Right loop,
+/// which walks B's rows with strided reads instead.
+void trsm_right_diag(UpLo uplo, Trans trans, Diag diag, ConstMatrixView t,
+                     MatrixView b) {
+  const index_t n = t.rows, m = b.rows;
+  // op(T) effectively lower: columns resolve last to first.
+  const bool forward = ((uplo == UpLo::Lower) == (trans == Trans::No));
+  for (index_t step = 0; step < n; ++step) {
+    const index_t j = forward ? n - 1 - step : step;
+    double* bj = &b(0, j);
+    // Solved columns l in [l0, l0 + cnt), each weighted by op(T)(l, j):
+    // down column j of T, or along its row j when transposed.
+    const index_t l0 = forward ? j + 1 : 0, cnt = forward ? n - 1 - j : j;
+    if (cnt > 0) {
+      if (trans == Trans::No)
+        sub_columns(bj, m, &b(0, l0), b.ld, &t(l0, j), 1, cnt);
+      else
+        sub_columns(bj, m, &b(0, l0), b.ld, &t(j, l0), t.ld, cnt);
+    }
+    if (diag == Diag::NonUnit) {
+      const double d = t(j, j);
+      for (index_t i = 0; i < m; ++i) bj[i] /= d;
     }
   }
 }
 
 }  // namespace
 
-/// Unblocked lower Cholesky (dpotf2-style). Used for diagonal blocks by the
-/// blocked potrf and as the reference factorization. Does NOT touch the
-/// strict upper triangle — the callers zero it once at the end.
-void potrf_unblocked(MatrixView a) {
-  const index_t n = a.rows;
+void potrf_panel(MatrixView a) {
+  const index_t m = a.rows, n = a.cols;
   for (index_t j = 0; j < n; ++j) {
-    double d = a(j, j);
-    for (index_t k = 0; k < j; ++k) d -= a(j, k) * a(j, k);
-    HATRIX_CHECK(d > 0.0, "matrix not positive definite (pivot " +
-                              std::to_string(j) + ")");
-    d = std::sqrt(d);
-    a(j, j) = d;
-    for (index_t i = j + 1; i < n; ++i) {
-      double s = a(i, j);
-      for (index_t k = 0; k < j; ++k) s -= a(i, k) * a(j, k);
-      a(i, j) = s / d;
-    }
+    // Column j below the diagonal, minus the factored columns to its left
+    // weighted by row j: the diagonal entry first, then the rows under it.
+    double* cj = &a(j, j);
+    sub_columns(cj, m - j, &a(j, 0), a.ld, &a(j, 0), a.ld, j);
+    HATRIX_CHECK(cj[0] > 0.0, "matrix not positive definite (pivot " +
+                                  std::to_string(j) + ")");
+    const double d = std::sqrt(cj[0]);
+    cj[0] = d;
+    for (index_t i = 1; i < m - j; ++i) cj[i] /= d;
   }
 }
 
@@ -409,7 +462,7 @@ void trsm_blocked(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
   if (n == 0 || b.rows == 0 || b.cols == 0) return;
 
   const bool forward = ((uplo == UpLo::Lower) == (trans == Trans::No));
-  const index_t nb = kTrsmBlock;
+  const index_t nb = kBlock;
   const index_t nblocks = (n + nb - 1) / nb;
 
   // View of op(T)'s block (bi, bj) expressed as (source block, Trans flag).
@@ -438,20 +491,20 @@ void trsm_blocked(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
       }
     }
   } else {
-    // Solve X op(T) = B over column blocks of B. `forward` means op(T) is
-    // effectively lower, so columns resolve last-to-first.
+    // Solve X op(T) = B over column blocks of B: solve block column bj, then
+    // take it out of every still-unsolved column with one gemm. `forward`
+    // means op(T) is effectively lower, so columns resolve last-to-first.
     for (index_t step = 0; step < nblocks; ++step) {
       const index_t bj = forward ? nblocks - 1 - step : step;
       const index_t j0 = bj * nb, nj = std::min(nb, n - j0);
-      trsm_naive(Side::Right, uplo, trans, diag, 1.0, t.block(j0, j0, nj, nj),
-                 b.block(0, j0, b.rows, nj));
-      for (index_t step2 = step + 1; step2 < nblocks; ++step2) {
-        const index_t bc = forward ? nblocks - 1 - step2 : step2;
-        const index_t c0 = bc * nb, ncw = std::min(nb, n - c0);
-        auto [tv, tt] = opt_block(j0, c0, nj, ncw);
-        gemm_blocked(-1.0, ConstMatrixView(b.block(0, j0, b.rows, nj)),
-                     Trans::No, tv, tt, 1.0, b.block(0, c0, b.rows, ncw));
-      }
+      trsm_right_diag(uplo, trans, diag, t.block(j0, j0, nj, nj),
+                      b.block(0, j0, b.rows, nj));
+      const index_t c0 = forward ? 0 : j0 + nj;
+      const index_t ncw = forward ? j0 : n - j0 - nj;
+      if (ncw == 0) continue;
+      auto [tv, tt] = opt_block(j0, c0, nj, ncw);
+      gemm_blocked(-1.0, ConstMatrixView(b.block(0, j0, b.rows, nj)), Trans::No,
+                   tv, tt, 1.0, b.block(0, c0, b.rows, ncw));
     }
   }
 }
@@ -465,25 +518,19 @@ void syrk_blocked(double alpha, ConstMatrixView a, Trans trans, double beta,
     scale_impl(c, beta);
   }
   if (alpha != 0.0 && k != 0) {
-    // Lower triangle blockwise: unblocked diagonal tiles, gemm panels below.
-    const index_t nb = kTrsmBlock;
-    for (index_t j0 = 0; j0 < n; j0 += nb) {
-      const index_t nj = std::min(nb, n - j0);
-      syrk_lower_unblocked(
-          alpha,
-          trans == Trans::No ? a.block(j0, 0, nj, k) : a.block(0, j0, k, nj),
-          trans, c.block(j0, j0, nj, nj));
-      for (index_t i0 = j0 + nb; i0 < n; i0 += nb) {
-        const index_t ni = std::min(nb, n - i0);
-        if (trans == Trans::No) {
-          gemm_blocked(alpha, a.block(i0, 0, ni, k), Trans::No,
-                       a.block(j0, 0, nj, k), Trans::Yes, 1.0,
-                       c.block(i0, j0, ni, nj));
-        } else {
-          gemm_blocked(alpha, a.block(0, i0, k, ni), Trans::Yes,
-                       a.block(0, j0, k, nj), Trans::No, 1.0,
-                       c.block(i0, j0, ni, nj));
-        }
+    // Lower triangle by block columns, one gemm each: the nb x nb diagonal
+    // tile, whose strict upper part the mirror below overwrites, and the
+    // panel under it.
+    for (index_t j0 = 0; j0 < n; j0 += kBlock) {
+      const index_t nj = std::min(kBlock, n - j0), rows = n - j0;
+      if (trans == Trans::No) {
+        gemm_blocked(alpha, a.block(j0, 0, rows, k), Trans::No,
+                     a.block(j0, 0, nj, k), Trans::Yes, 1.0,
+                     c.block(j0, j0, rows, nj));
+      } else {
+        gemm_blocked(alpha, a.block(0, j0, k, rows), Trans::Yes,
+                     a.block(0, j0, k, nj), Trans::No, 1.0,
+                     c.block(j0, j0, rows, nj));
       }
     }
   }

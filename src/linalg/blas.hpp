@@ -3,10 +3,12 @@
 /// \brief BLAS-style dense FP64 kernels (levels 1-3) on matrix views.
 ///
 /// One implementation serves the level-3 kernels: a cache-blocked, packing
-/// gemm with a register-tiled micro-kernel, with trsm/syrk/potrf recast as
-/// small diagonal-block solves plus gemm panel updates, so one tuned kernel
-/// speeds every level-3 operation. The naive triple loops are kept only as
-/// the conformance oracle, `la::ref::`.
+/// gemm with a register-tiled micro-kernel. trsm and potrf are recast as
+/// 64-wide diagonal blocks, solved or factored by loops that run down
+/// contiguous columns, plus gemm updates between them, and syrk as one gemm
+/// per block column of its lower triangle, so one tuned kernel carries
+/// nearly all of every level-3 operation's flops. The naive triple loops
+/// are kept only as the conformance oracle, `la::ref::`.
 ///
 /// Determinism contract (the solve layer depends on it): column j of a gemm
 /// or Side::Left trsm result is bit-identical whether the call covers one

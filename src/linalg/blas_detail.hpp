@@ -14,6 +14,11 @@
 
 namespace hatrix::la::detail {
 
+/// Width of the diagonal blocks of the blocked trsm, syrk and potrf: big
+/// enough that the gemm updates between blocks carry the flops, small enough
+/// that a block's column loops stay in cache.
+inline constexpr index_t kBlock = 64;
+
 /// C = alpha * op(A) * op(B) + beta * C.
 void gemm_blocked(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
                   Trans tb, double beta, MatrixView c);
@@ -26,8 +31,12 @@ void syrk_blocked(double alpha, ConstMatrixView a, Trans trans, double beta,
 void trsm_blocked(Side side, UpLo uplo, Trans trans, Diag diag, double alpha,
                   ConstMatrixView t, MatrixView b);
 
-/// Unblocked lower Cholesky of the lower triangle (dpotf2-style); throws on
-/// a non-positive pivot and leaves the strict upper triangle untouched.
-void potrf_unblocked(MatrixView a);
+/// Left-looking lower Cholesky of an m x n panel (m >= n), a column at a
+/// time: factors the top n x n block in place and solves the m - n rows
+/// below against it (A21 L11⁻ᵀ). Column j subtracts the factored columns to
+/// its left with axpys down its contiguous segment, then divides by its
+/// pivot. Throws on a non-positive pivot; never reads or writes the strict
+/// upper triangle of the top block.
+void potrf_panel(MatrixView a);
 
 }  // namespace hatrix::la::detail

@@ -1,3 +1,11 @@
+/// \file cholesky.cpp
+/// \brief Blocked lower Cholesky (la::potrf) and the SPD solves built on it.
+///
+/// potrf is left-looking over 64-wide block columns: one gemm brings a block
+/// column up to date, then detail::potrf_panel factors it down its
+/// contiguous columns, so the gemm carries all but the panels' flops. This
+/// is a kernel TU: CMake compiles it with the kernel flags.
+
 #include "linalg/cholesky.hpp"
 
 #include <algorithm>
@@ -9,26 +17,22 @@ namespace hatrix::la {
 
 namespace {
 
-constexpr index_t kBlock = 64;
-
-// Right-looking blocked algorithm: factor the diagonal block, solve the
-// panel below it, update the trailing lower triangle. Panel work calls the
-// blocked kernels directly, not the counting entry points, so the n³/3
-// recorded in potrf is the whole story.
+// Left-looking blocked algorithm: bring block column k up to date with one
+// gemm against the factored columns to its left, then factor it as a panel
+// (its diagonal block and every row below it, detail::potrf_panel). Panel
+// work calls the blocked kernels directly, not the counting entry points,
+// so the n³/3 recorded in potrf is the whole story.
 void potrf_blocked(MatrixView a) {
   const index_t n = a.rows;
-  for (index_t k = 0; k < n; k += kBlock) {
-    const index_t nb = std::min(kBlock, n - k);
-    detail::potrf_unblocked(a.block(k, k, nb, nb));
-    const index_t rest = n - k - nb;
-    if (rest == 0) continue;
-    MatrixView panel = a.block(k + nb, k, rest, nb);
-    detail::trsm_blocked(Side::Right, UpLo::Lower, Trans::Yes, Diag::NonUnit,
-                         1.0, a.block(k, k, nb, nb), panel);
-    // Trailing update only needs the lower triangle, but syrk writes both;
-    // that is harmless because potrf never reads the strict upper triangle.
-    detail::syrk_blocked(-1.0, panel, Trans::No, 1.0,
-                         a.block(k + nb, k + nb, rest, rest));
+  for (index_t k = 0; k < n; k += detail::kBlock) {
+    const index_t nb = std::min(detail::kBlock, n - k);
+    const MatrixView column = a.block(k, k, n - k, nb);
+    // The gemm also writes the strict upper part of the diagonal block,
+    // which nothing reads before it is zeroed below.
+    if (k > 0)
+      detail::gemm_blocked(-1.0, a.block(k, 0, n - k, k), Trans::No,
+                           a.block(k, 0, nb, k), Trans::Yes, 1.0, column);
+    detail::potrf_panel(column);
   }
 
   // Zero the strict upper triangle so the output is exactly L as a full

@@ -49,7 +49,10 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
       // communication identically to fully materialized ones.
       dd.push_back(graph.register_data("diag" + tag, m * m * 8));
       bd.push_back(graph.register_data("basis" + tag, m * nd.rank * 8));
-      rd.push_back(graph.register_data("rotated" + tag, m * m * 8));
+      // The rotated slot's RR, SR and SS blocks; SRᵀ is never formed.
+      const index_t r = m - nd.rank;
+      rd.push_back(graph.register_data(
+          "rotated" + tag, (r * r + nd.rank * r + nd.rank * nd.rank) * 8));
       sd.push_back(graph.register_data("schur" + tag, nd.rank * nd.rank * 8));
       // Bases come from the built matrix: no task writes them. Same for the
       // leaf diagonals, seeded from a.node(L,i).diag before the graph runs.
@@ -106,8 +109,9 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
           break;
         case Slot::Rotated:
           if (poison) {
-            la::fill(stp->rotated[li][ii].q_comp.view(), nan);
-            la::fill(stp->rotated[li][ii].rotated.view(), nan);
+            auto& rot = stp->rotated[li][ii];
+            for (Matrix* mat : {&rot.q_comp, &rot.rr, &rot.sr, &rot.ss})
+              la::fill(mat->view(), nan);
           } else {
             stp->rotated[li][ii] = DiagProductResult();
           }
@@ -179,21 +183,21 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
       graph.insert_task(
           "PARTIAL_FACTOR" + tag, "partial_factor", {m, nd.rank},
           with_work ? std::function<void()>([stp, li, ii] {
-            auto& rot =
-                stp->rotated[static_cast<std::size_t>(li)][static_cast<std::size_t>(ii)];
-            const index_t k = stp->a->node(li, ii).rank;
-            auto res = partial_factor_rotated(rot.rotated.view(), k,
-                                              std::move(rot.q_comp), li, ii);
+            // Factors the slot's blocks in place and moves them out, which
+            // leaves the slot empty.
+            auto res = partial_factor_rotated(
+                std::move(stp->rotated[static_cast<std::size_t>(li)]
+                                      [static_cast<std::size_t>(ii)]),
+                li, ii);
             stp->factors[static_cast<std::size_t>(li)][static_cast<std::size_t>(ii)] =
                 std::move(res.factor);
             stp->schur[static_cast<std::size_t>(li)][static_cast<std::size_t>(ii)] =
                 std::move(res.ss_schur);
-            rot.rotated = Matrix();  // release working memory
           })
                     : std::function<void()>(),
-          // `rotated` is declared ReadWrite, not Read: the task moves the
-          // Q factor out of the slot and releases the rotated buffer, so
-          // any later reader of this handle would race with it.
+          // `rotated` is declared ReadWrite, not Read: the task factors the
+          // slot's blocks in place and moves them out, so any later reader
+          // of this handle would race with it.
           {{dag.rotated_data[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)],
             rt::Access::ReadWrite},
            {dag.schur_data[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)],

@@ -8,31 +8,19 @@
 namespace hatrix::ulv {
 
 DiagProductResult diag_product(la::ConstMatrixView diag, la::ConstMatrixView basis) {
-  const index_t m = diag.rows, k = basis.cols;
+  const index_t m = diag.rows;
   HATRIX_CHECK(diag.cols == m, "diag_product: diagonal must be square");
   HATRIX_CHECK(basis.rows == m, "diag_product: basis/diagonal size mismatch");
 
   DiagProductResult out;
   out.q_comp = la::orth_complement(basis);
-  out.rotated = Matrix(m, m);
-
   const Matrix& q = out.q_comp;  // m x (m-k)
-  // Â = [Qᵀ; Uᵀ] D [Q U] assembled piecewise (Eq. 7), complement first.
-  Matrix dq = la::matmul(diag, q.view());   // m x (m-k)
-  Matrix du = la::matmul(diag, basis);      // m x k
-  if (m - k > 0) {
-    la::gemm(1.0, q.view(), la::Trans::Yes, dq.view(), la::Trans::No, 0.0,
-             out.rotated.block(0, 0, m - k, m - k));
-    if (k > 0) {
-      la::gemm(1.0, basis, la::Trans::Yes, dq.view(), la::Trans::No, 0.0,
-               out.rotated.block(m - k, 0, k, m - k));
-      la::gemm(1.0, q.view(), la::Trans::Yes, du.view(), la::Trans::No, 0.0,
-               out.rotated.block(0, m - k, m - k, k));
-    }
-  }
-  if (k > 0)
-    la::gemm(1.0, basis, la::Trans::Yes, du.view(), la::Trans::No, 0.0,
-             out.rotated.block(m - k, m - k, k, k));
+  // The RR, SR and SS blocks of Â = [Q U]ᵀ D [Q U] (Eq. 7).
+  const Matrix dq = la::matmul(diag, q.view());  // m x (m-k)
+  const Matrix du = la::matmul(diag, basis);     // m x k
+  out.rr = la::matmul(q.view(), dq.view(), la::Trans::Yes);
+  out.sr = la::matmul(basis, dq.view(), la::Trans::Yes);
+  out.ss = la::matmul(basis, du.view(), la::Trans::Yes);
   return out;
 }
 
@@ -52,28 +40,28 @@ void factor_pivot_block(la::MatrixView a, int level, index_t node) {
   }
 }
 
-PartialFactorResult partial_factor_rotated(la::ConstMatrixView rotated, index_t k,
-                                           Matrix q_comp, int level, index_t node) {
-  const index_t m = rotated.rows;
-  HATRIX_CHECK(rotated.cols == m, "partial_factor_rotated: square input required");
-  HATRIX_CHECK(k >= 0 && k <= m, "partial_factor_rotated: bad rank");
+PartialFactorResult partial_factor_rotated(DiagProductResult rotated, int level,
+                                           index_t node) {
+  const index_t r = rotated.rr.rows(), k = rotated.ss.rows();
+  HATRIX_CHECK(rotated.rr.cols() == r && rotated.ss.cols() == k,
+               "partial_factor_rotated: RR and SS must be square");
+  HATRIX_CHECK(rotated.sr.rows() == k && rotated.sr.cols() == r,
+               "partial_factor_rotated: SR shape mismatch");
+  HATRIX_CHECK(rotated.q_comp.rows() == r + k && rotated.q_comp.cols() == r,
+               "partial_factor_rotated: complement shape mismatch");
 
   PartialFactorResult out;
-  out.factor.m = m;
+  out.factor.m = r + k;
   out.factor.k = k;
-  out.factor.q_comp = std::move(q_comp);
-
-  Matrix rr = Matrix::from_view(rotated.block(0, 0, m - k, m - k));
-  Matrix sr = Matrix::from_view(rotated.block(m - k, 0, k, m - k));
-  Matrix ss = Matrix::from_view(rotated.block(m - k, m - k, k, k));
-
-  factor_pivot_block(rr.view(), level, node);  // Eq. 10
-  out.factor.l_rr = std::move(rr);
+  out.factor.q_comp = std::move(rotated.q_comp);
+  factor_pivot_block(rotated.rr.view(), level, node);  // Eq. 10
+  out.factor.l_rr = std::move(rotated.rr);
   la::trsm(la::Side::Right, la::UpLo::Lower, la::Trans::Yes, la::Diag::NonUnit, 1.0,
-           out.factor.l_rr.view(), sr.view());  // Eq. 11
-  out.factor.l_sr = std::move(sr);
-  la::syrk(-1.0, out.factor.l_sr.view(), la::Trans::No, 1.0, ss.view());  // Eq. 12
-  out.ss_schur = std::move(ss);
+           out.factor.l_rr.view(), rotated.sr.view());  // Eq. 11
+  out.factor.l_sr = std::move(rotated.sr);
+  la::syrk(-1.0, out.factor.l_sr.view(), la::Trans::No, 1.0,
+           rotated.ss.view());  // Eq. 12
+  out.ss_schur = std::move(rotated.ss);
   return out;
 }
 

@@ -39,11 +39,15 @@ struct PartialFactorResult {
 };
 
 /// Output of the "Diagonal Product" task (Fig. 8): the complement basis and
-/// the rotated diagonal Â = U_Fᵀ D U_F laid out complement-first,
-/// [RR SRᵀ; SR SS] (Eq. 7).
+/// the three blocks of the rotated diagonal Â = U_Fᵀ D U_F, laid out
+/// complement-first as [RR SRᵀ; SR SS] (Eq. 7), that the partial
+/// factorization reads. The SRᵀ block is the transpose of SR and is not
+/// formed.
 struct DiagProductResult {
-  Matrix q_comp;   ///< m x (m-k)
-  Matrix rotated;  ///< m x m
+  Matrix q_comp;  ///< m x (m-k)      Uᴿ, the orthonormal complement of Uˢ
+  Matrix rr;      ///< (m-k) x (m-k)  Uᴿᵀ D Uᴿ
+  Matrix sr;      ///< k x (m-k)      Uˢᵀ D Uᴿ
+  Matrix ss;      ///< k x k          Uˢᵀ D Uˢ
 };
 
 /// The "Diagonal Product" step: rotate the node's dense diagonal block by
@@ -68,12 +72,13 @@ class PivotError : public Error {
 /// pivot is rethrown as PivotError.
 void factor_pivot_block(la::MatrixView a, int level, index_t node);
 
-/// The "Partial Factorization" step (Eq. 10-12) on an already-rotated
-/// diagonal: Cholesky of the leading (m-k) RR block, the SR coupling solve,
-/// and the SS Schur complement. Throws PivotError naming (level, node) if RR
-/// is not positive definite.
-PartialFactorResult partial_factor_rotated(la::ConstMatrixView rotated, index_t k,
-                                           Matrix q_comp, int level, index_t node);
+/// The "Partial Factorization" step (Eq. 10-12) on a rotated diagonal, in
+/// place: RR becomes its Cholesky factor L_RR, SR the coupling
+/// SR L_RR⁻ᵀ = L_SR, and SS the Schur complement SS - L_SR L_SRᵀ; the rank
+/// k is SS's order. Throws PivotError naming (level, node) if RR is not
+/// positive definite.
+PartialFactorResult partial_factor_rotated(DiagProductResult rotated, int level,
+                                           index_t node);
 
 /// The Merge step (line 4 of Alg. 2): assemble a parent's dense diagonal
 ///   D_p = [ SS_0  Sᵀ ; S  SS_1 ]

@@ -212,10 +212,10 @@ TEST(LinalgConformance, GemmOneColumnMatchesPanelColumnsBitwise) {
 }
 
 TEST(LinalgConformance, TrsmLeftOneColumnMatchesPanelColumnsBitwise) {
-  // n = 70 spans two kTrsmBlock diagonal blocks, so the gemm update between
-  // them is exercised too.
+  // n = 177 spans three 64-wide diagonal blocks, the last one partial, so
+  // the gemm updates between them are exercised too.
   Rng rng(42);
-  const index_t nt = 70, pad = 5;
+  const index_t nt = 177, pad = 5;
   for (auto [name, trsm] : {std::pair<const char*, TrsmFn>{"ref", la::ref::trsm},
                             std::pair<const char*, TrsmFn>{"blocked", la::trsm}}) {
     for (UpLo uplo : {UpLo::Lower, UpLo::Upper})
@@ -245,10 +245,14 @@ TEST(LinalgConformance, TrsmLeftOneColumnMatchesPanelColumnsBitwise) {
 // ---------------------------------------------------------------------------
 // syrk
 
+// Sizes around the 64-wide diagonal blocks of the blocked trsm/syrk/potrf:
+// one short of, at, and one past a block edge, plus 176 and 177, the RR
+// order of a (256, 80) ULV leaf and its odd neighbour (three blocks, the
+// last one 48 or 49 wide).
 TEST(LinalgConformance, SyrkBothTransBothPrecisions) {
   Rng rng(34);
-  for (index_t n : {0, 1, 2, 7, 33, 65, 129}) {
-    for (index_t k : {0, 1, 5, 40, 67}) {
+  for (index_t n : {0, 1, 2, 7, 33, 63, 64, 65, 128, 129, 176, 177}) {
+    for (index_t k : {0, 1, 5, 40, 67, 176}) {
       for (Trans tr : {Trans::No, Trans::Yes}) {
         const Matrix a = tr == Trans::No ? random_matrix(n, k, rng)
                                          : random_matrix(k, n, rng);
@@ -270,8 +274,8 @@ TEST(LinalgConformance, SyrkBothTransBothPrecisions) {
 
 TEST(LinalgConformance, TrsmAllSixteenCombos) {
   Rng rng(35);
-  for (index_t n : {0, 1, 3, 17, 64, 65, 129}) {
-    for (index_t w : {0, 1, 5, 40}) {
+  for (index_t n : {0, 1, 3, 17, 63, 64, 65, 128, 129, 176, 177}) {
+    for (index_t w : {0, 1, 5, 40, 80}) {
       for (Side side : {Side::Left, Side::Right}) {
         for (UpLo uplo : {UpLo::Lower, UpLo::Upper}) {
           const Matrix t = random_triangular(n, uplo, rng);
@@ -303,7 +307,7 @@ TEST(LinalgConformance, TrsmAllSixteenCombos) {
 
 TEST(LinalgConformance, PotrfAgainstUnblockedReference) {
   Rng rng(38);
-  for (index_t n : {1, 2, 7, 33, 64, 65, 129, 200}) {
+  for (index_t n : {1, 2, 7, 33, 63, 64, 65, 127, 128, 129, 176, 177, 193, 200}) {
     // SPD by construction: B·Bᵀ + n·I keeps the condition number modest so
     // the two factorizations agree to working accuracy.
     const Matrix b = random_matrix(n, n, rng);
@@ -330,6 +334,54 @@ TEST(LinalgConformance, PotrfThrowsOnIndefinite) {
   a(1, 1) = -1.0;  // negative pivot
   a(2, 2) = 1.0;
   EXPECT_THROW(la::potrf(a.view()), Error) << "potrf indefinite";
+
+  // A negative pivot in the third diagonal block, reached only after the
+  // gemm updates of the first two.
+  Matrix big = Matrix::identity(177);
+  big(150, 150) = -1.0;
+  EXPECT_THROW(la::potrf(big.view()), Error) << "potrf indefinite, block 3";
+}
+
+TEST(LinalgConformance, FactorKernelsOnNonContiguousViews) {
+  // trsm, syrk and potrf on interior blocks of larger buffers (ld > rows),
+  // at a three-block size: the column loops must honor both strides and
+  // must not write outside their block.
+  Rng rng(40);
+  const index_t n = 177, w = 80, pad = 9;
+  for (Side side : {Side::Left, Side::Right})
+    for (UpLo uplo : {UpLo::Lower, UpLo::Upper})
+      for (Trans tr : {Trans::No, Trans::Yes}) {
+        Matrix tbuf = random_matrix(n + pad, n + pad, rng);
+        la::copy(random_triangular(n, uplo, rng).view(), tbuf.view().block(4, 3, n, n));
+        const ConstMatrixView t = tbuf.view().block(4, 3, n, n);
+        const index_t br = side == Side::Left ? n : w, bc = side == Side::Left ? w : n;
+        Matrix b_got = random_matrix(br + pad, bc + pad, rng), b_ref = b_got;
+        la::ref::trsm(side, uplo, tr, Diag::NonUnit, 1.0, t, b_ref.view().block(2, 5, br, bc));
+        la::trsm(side, uplo, tr, Diag::NonUnit, 1.0, t, b_got.view().block(2, 5, br, bc));
+        EXPECT_LE(max_diff(b_got.view(), b_ref.view()),
+                  tolerance(n, max_abs(b_ref.view()), kEps64))
+            << "trsm strided side=" << (side == Side::Right)
+            << " uplo=" << (uplo == UpLo::Upper) << " trans=" << (tr == Trans::Yes);
+      }
+
+  const Matrix abuf = random_matrix(n + pad, w + pad, rng);
+  const ConstMatrixView a = abuf.view().block(3, 2, n, w);
+  Matrix c_got = random_matrix(n + pad, n + pad, rng), c_ref = c_got;
+  la::ref::syrk(-1.0, a, Trans::No, 1.0, c_ref.view().block(5, 4, n, n));
+  la::syrk(-1.0, a, Trans::No, 1.0, c_got.view().block(5, 4, n, n));
+  EXPECT_LE(max_diff(c_got.view(), c_ref.view()), tolerance(w, max_abs(c_ref.view()), kEps64))
+      << "syrk strided";
+
+  Matrix l_got = random_matrix(n + pad, n + pad, rng);
+  const Matrix g = random_matrix(n, n, rng);
+  const MatrixView spd = l_got.view().block(6, 1, n, n);
+  la::ref::gemm(1.0, g.view(), Trans::No, g.view(), Trans::Yes, 0.0, spd);
+  for (index_t i = 0; i < n; ++i) spd(i, i) += static_cast<double>(n);
+  Matrix l_ref = l_got;
+  la::ref::potrf(l_ref.view().block(6, 1, n, n));
+  la::potrf(l_got.view().block(6, 1, n, n));
+  EXPECT_LE(max_diff(l_got.view(), l_ref.view()), tolerance(n, max_abs(l_ref.view()), kEps64))
+      << "potrf strided";
 }
 
 // ---------------------------------------------------------------------------
@@ -340,7 +392,8 @@ TEST(LinalgConformance, ConcurrentKernelCallsMatchReference) {
   // blocked gemm (and the trsm/syrk/potrf built on it) packs into
   // thread_local buffers, so concurrent calls on shared read-only inputs
   // must not race (TSan) and must each match the oracle. n = 96 spans two
-  // kTrsmBlock diagonal blocks, so the gemm panel updates run too.
+  // 64-wide diagonal blocks, so the gemm updates between them run too, on
+  // both sides of trsm.
   Rng rng(39);
   const index_t n = 96;
   const Matrix a = random_matrix(n, n, rng);
@@ -351,11 +404,13 @@ TEST(LinalgConformance, ConcurrentKernelCallsMatchReference) {
   for (index_t i = 0; i < n; ++i) spd(i, i) += static_cast<double>(n);
 
   Matrix gemm_ref(n, n), syrk_ref(n, n);
-  Matrix trsm_ref = b, potrf_ref = spd;
+  Matrix trsm_ref = b, trsm_right_ref = b, potrf_ref = spd;
   la::ref::gemm(1.0, a.view(), Trans::No, b.view(), Trans::Yes, 0.0, gemm_ref.view());
   la::ref::syrk(1.0, a.view(), Trans::Yes, 0.0, syrk_ref.view());
   la::ref::trsm(Side::Left, UpLo::Lower, Trans::No, Diag::NonUnit, 1.0, t.view(),
                 trsm_ref.view());
+  la::ref::trsm(Side::Right, UpLo::Lower, Trans::Yes, Diag::NonUnit, 1.0, t.view(),
+                trsm_right_ref.view());
   la::ref::potrf(potrf_ref.view());
   const auto within = [n](const Matrix& got, const Matrix& ref) {
     return max_diff(got.view(), ref.view()) <=
@@ -368,14 +423,17 @@ TEST(LinalgConformance, ConcurrentKernelCallsMatchReference) {
     workers.emplace_back([&] {
       for (int it = 0; it < 10; ++it) {
         Matrix c(n, n), s(n, n);
-        Matrix x = b, l = spd;
+        Matrix x = b, xr = b, l = spd;
         la::gemm(1.0, a.view(), Trans::No, b.view(), Trans::Yes, 0.0, c.view());
         la::syrk(1.0, a.view(), Trans::Yes, 0.0, s.view());
         la::trsm(Side::Left, UpLo::Lower, Trans::No, Diag::NonUnit, 1.0, t.view(),
                  x.view());
+        la::trsm(Side::Right, UpLo::Lower, Trans::Yes, Diag::NonUnit, 1.0, t.view(),
+                 xr.view());
         la::potrf(l.view());
         const int bad = !within(c, gemm_ref) + !within(s, syrk_ref) +
-                        !within(x, trsm_ref) + !within(l, potrf_ref);
+                        !within(x, trsm_ref) + !within(xr, trsm_right_ref) +
+                        !within(l, potrf_ref);
         failures.fetch_add(bad, std::memory_order_relaxed);
       }
     });

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "format/accessor.hpp"
 #include "format/hss_builder.hpp"
@@ -208,35 +209,42 @@ TEST(HssUlv, SampledConstructionSolvesAccurately) {
 
 TEST(UlvCommon, PartialFactorReconstructs) {
   // After partial factorization, [L_RR 0; L_SR I] [L_RRᵀ L_SRᵀ; 0 SS_schur]
-  // must reconstruct the rotated diagonal [RR SRᵀ; SR SS].
-  Rng rng(81);
-  const index_t m = 32, k = 8;
-  Matrix d = Matrix::random_spd(rng, m);
-  Matrix g = Matrix::random_normal(rng, m, k);
-  auto qr_g = la::qr(g.view());
-  auto rot = diag_product(d.view(), qr_g.q.view());
-  auto res = partial_factor_rotated(rot.rotated.view(), k, std::move(rot.q_comp),
-                                    /*level=*/1, /*node=*/0);
-  const auto& f = res.factor;
+  // must reconstruct the rotated diagonal [RR SRᵀ; SR SS]. (256, 80) and
+  // (160, 80) are the leaf and internal node shapes of a leaf-256, rank-80
+  // Yukawa problem: RR then spans several potrf/trsm diagonal blocks, the
+  // last one partial.
+  for (const auto& [m, k] : {std::pair<index_t, index_t>{32, 8}, {256, 80}, {160, 80}}) {
+    Rng rng(81);
+    Matrix d = Matrix::random_spd(rng, m);
+    Matrix g = Matrix::random_normal(rng, m, k);
+    auto qr_g = la::qr(g.view());
+    auto rot = diag_product(d.view(), qr_g.q.view());
+    ASSERT_EQ(rot.rr.rows(), m - k);
+    ASSERT_EQ(rot.sr.rows(), k);
+    ASSERT_EQ(rot.ss.rows(), k);
+    auto res = partial_factor_rotated(std::move(rot), /*level=*/1, /*node=*/0);
+    const auto& f = res.factor;
+    EXPECT_EQ(f.m, m);
+    EXPECT_EQ(f.k, k);
 
-  Matrix rr = la::matmul(f.l_rr.view(), f.l_rr.view(), la::Trans::No, la::Trans::Yes);
-  Matrix rr_ref(m - k, m - k);
-  Matrix dq = la::matmul(d.view(), f.q_comp.view());
-  la::gemm(1.0, f.q_comp.view(), la::Trans::Yes, dq.view(), la::Trans::No, 0.0,
-           rr_ref.view());
-  EXPECT_LT(la::rel_error(rr_ref.view(), rr.view()), 1e-11);
+    // RR = L_RR L_RRᵀ, with RR = Q_cᵀ D Q_c.
+    Matrix rr = la::matmul(f.l_rr.view(), f.l_rr.view(), la::Trans::No, la::Trans::Yes);
+    Matrix dq = la::matmul(d.view(), f.q_comp.view());
+    Matrix rr_ref = la::matmul(f.q_comp.view(), dq.view(), la::Trans::Yes);
+    EXPECT_LT(la::rel_error(rr_ref.view(), rr.view()), 1e-11) << m << "x" << k;
 
-  // SR = L_SR L_RRᵀ.
-  Matrix sr = la::matmul(f.l_sr.view(), f.l_rr.view(), la::Trans::No, la::Trans::Yes);
-  Matrix sr_ref = la::matmul(qr_g.q.view(), dq.view(), la::Trans::Yes, la::Trans::No);
-  EXPECT_LT(la::rel_error(sr_ref.view(), sr.view()), 1e-11);
+    // SR = L_SR L_RRᵀ, with SR = Uᵀ D Q_c.
+    Matrix sr = la::matmul(f.l_sr.view(), f.l_rr.view(), la::Trans::No, la::Trans::Yes);
+    Matrix sr_ref = la::matmul(qr_g.q.view(), dq.view(), la::Trans::Yes, la::Trans::No);
+    EXPECT_LT(la::rel_error(sr_ref.view(), sr.view()), 1e-11) << m << "x" << k;
 
-  // SS = schur + L_SR L_SRᵀ.
-  Matrix ss = Matrix::from_view(res.ss_schur.view());
-  la::syrk(1.0, f.l_sr.view(), la::Trans::No, 1.0, ss.view());
-  Matrix du = la::matmul(d.view(), qr_g.q.view());
-  Matrix ss_ref = la::matmul(qr_g.q.view(), du.view(), la::Trans::Yes, la::Trans::No);
-  EXPECT_LT(la::rel_error(ss_ref.view(), ss.view()), 1e-11);
+    // SS = schur + L_SR L_SRᵀ, with SS = Uᵀ D U.
+    Matrix ss = Matrix::from_view(res.ss_schur.view());
+    la::syrk(1.0, f.l_sr.view(), la::Trans::No, 1.0, ss.view());
+    Matrix du = la::matmul(d.view(), qr_g.q.view());
+    Matrix ss_ref = la::matmul(qr_g.q.view(), du.view(), la::Trans::Yes, la::Trans::No);
+    EXPECT_LT(la::rel_error(ss_ref.view(), ss.view()), 1e-11) << m << "x" << k;
+  }
 }
 
 TEST(UlvCommon, ComplementIsOrthogonalToBasis) {
